@@ -116,7 +116,7 @@ func multiStackLowerBound(g *nn.Graph, cfg hw.SystemConfig, opts core.Options) h
 // every overhead.
 func opFloor(op *nn.Op, cfg hw.SystemConfig) hw.Seconds {
 	best := device.CPUOp(op, cfg.CPU).Time()
-	prof := nn.ProfileFor(op.Type)
+	prof := op.Profile()
 	if prof.ProgEligible && cfg.ProgPIM.Processors > 0 {
 		if t := device.ProgOp(op, cfg.ProgPIM, cfg.ProgPIM.Processors, cfg.Stack).Time(); t < best {
 			best = t

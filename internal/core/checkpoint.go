@@ -28,8 +28,8 @@ import (
 //     sequence counter, so event order and tie-breaks match exactly
 //     (sim.Checkpoint);
 //   - the task DAG is rebuilt by the same template path and its mutable
-//     scalars overwritten from the snapshot; event payload pointers are
-//     remapped through slab indices;
+//     scalars overwritten from the snapshot; event payloads name tasks
+//     by slab index, which the fork's DAG shares;
 //   - the register file resumes from a deep copy with token numbering
 //     continued (pim.RegistersSnapshot);
 //   - the pool's utilization integral is replayed advance-by-advance so
@@ -252,18 +252,11 @@ func maskedConfigJSON(cfg hw.SystemConfig) []byte {
 	return b
 }
 
-// taskIdx flattens a task to its slab index (the template slab is laid
-// out step-major, opID-minor).
-func taskIdx(t *task, n int) int32 { return int32(t.step*n + t.op.ID) }
-
 // taskAt resolves a slab index in this executor's DAG.
-func (x *exec) taskAt(idx int32) *task {
-	n := len(x.g.Ops)
-	return x.tasks[int(idx)/n][int(idx)%n]
-}
+func (x *exec) taskAt(idx int32) *task { return &x.slab[idx] }
 
 // snapDevice freezes a serial device's live state.
-func snapDevice(d *serialDevice, n int) devSnap {
+func snapDevice(d *serialDevice) devSnap {
 	s := devSnap{busy: d.busy, busySeconds: d.busySeconds}
 	if live := len(d.queue) - d.head; live > 0 {
 		s.items = make([]itemSnap, 0, live)
@@ -272,7 +265,7 @@ func snapDevice(d *serialDevice, n int) devSnap {
 		w := d.queue[k]
 		s.items = append(s.items, itemSnap{
 			dur: w.dur, opT: w.opT, dmT: w.dmT,
-			slots: w.slots, bypassed: w.bypassed, task: taskIdx(w.t, n),
+			slots: w.slots, bypassed: w.bypassed, task: w.t.idx,
 		})
 	}
 	return s
@@ -382,14 +375,6 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		return nil, err
 	}
 	n := len(g.Ops)
-	// Detach payload pointers from this run's (pooled, about to be
-	// released) arena: slab indices survive the teardown.
-	engCp = engCp.Remap(func(ev sim.Ev) sim.Ev {
-		if t, ok := ev.Ptr.(*task); ok {
-			ev.Ptr = taskIdx(t, n)
-		}
-		return ev
-	})
 	cp := &RunCheckpoint{
 		g:         g,
 		opts:      opts,
@@ -401,8 +386,8 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		stepLeft:  append([]int(nil), x.stepLeft...),
 		heldBack:  make([][]int32, len(x.heldBack)),
 		firstOpen: x.firstOpen,
-		cpu:       snapDevice(x.cpu, n),
-		prog:      snapDevice(x.prog, n),
+		cpu:       snapDevice(x.cpu),
+		prog:      snapDevice(x.prog),
 		regs:      x.regs.Snapshot(),
 		poolAdv:   x.pool.AdvanceHistory(),
 		poolBusy:  x.pool.Busy(),
@@ -412,23 +397,21 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		offload:   x.offload,
 		cpuOps:    x.cpuOps,
 	}
-	for s := 0; s < opts.Steps; s++ {
-		for id := 0; id < n; id++ {
-			t := x.tasks[s][id]
-			cp.tasks[s*n+id] = taskSnap{
-				deps: t.deps, token: t.token, path: t.path,
-				remFlops: t.remFlops, remBytes: t.remBytes,
-				syncPerFlop: t.syncPerFlop,
-			}
+	for i := range x.slab {
+		t := &x.slab[i]
+		cp.tasks[i] = taskSnap{
+			deps: t.deps, token: t.token, path: t.path,
+			remFlops: t.remFlops, remBytes: t.remBytes,
+			syncPerFlop: t.syncPerFlop,
 		}
 	}
 	for s, held := range x.heldBack {
 		for _, t := range held {
-			cp.heldBack[s] = append(cp.heldBack[s], taskIdx(t, n))
+			cp.heldBack[s] = append(cp.heldBack[s], t.idx)
 		}
 	}
 	for k := x.fixedHead; k < len(x.fixedPending); k++ {
-		cp.fixedWait = append(cp.fixedWait, taskIdx(x.fixedPending[k], n))
+		cp.fixedWait = append(cp.fixedWait, x.fixedPending[k].idx)
 	}
 	return cp, nil
 }
@@ -460,18 +443,13 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 		return Result{}, err
 	}
 	defer x.teardown()
-	n := len(c.g.Ops)
-	for s := 0; s < c.opts.Steps; s++ {
-		row := x.tasks[s]
-		for id := 0; id < n; id++ {
-			sn := c.tasks[s*n+id]
-			t := row[id]
-			t.deps = sn.deps
-			t.token = sn.token
-			t.path = sn.path
-			t.remFlops, t.remBytes = sn.remFlops, sn.remBytes
-			t.syncPerFlop = sn.syncPerFlop
-		}
+	for i, sn := range c.tasks {
+		t := &x.slab[i]
+		t.deps = sn.deps
+		t.token = sn.token
+		t.path = sn.path
+		t.remFlops, t.remBytes = sn.remFlops, sn.remBytes
+		t.syncPerFlop = sn.syncPerFlop
 	}
 	copy(x.stepLeft, c.stepLeft)
 	for s := range x.heldBack {
@@ -497,12 +475,7 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	x.usage = c.usage
 	x.offload = c.offload
 	x.cpuOps = c.cpuOps
-	if err := x.eng.Restore(c.eng, func(ev sim.Ev) sim.Ev {
-		if idx, ok := ev.Ptr.(int32); ok {
-			ev.Ptr = x.taskAt(idx)
-		}
-		return ev
-	}); err != nil {
+	if err := x.eng.Restore(c.eng); err != nil {
 		return Result{}, err
 	}
 	res, err := x.drainRun()

@@ -155,11 +155,11 @@ const fixedKernelQuantumFlops = 1e6
 const fixedTimeQuantum hw.Seconds = 2e-3
 
 // Typed event kinds of the PIM executor (sim.KindFunc = 0 is reserved
-// for legacy closure events). Every kind carries its *task in Ptr; the
-// scalar operands are documented per kind. Scheduling these allocates
-// nothing — the payload travels by value inside the engine's heap slab —
-// which is what makes the steady-state inner loop closure- and
-// allocation-free (the AllocsPerRun pin in exec_alloc_test.go).
+// for legacy closure events). Every kind carries its task's slab index
+// in Idx; the scalar operands are documented per kind. Scheduling these
+// allocates nothing — the payload travels by value inside the engine's
+// heap slab — which is what makes the steady-state inner loop closure-
+// and allocation-free (the AllocsPerRun pin in exec_alloc_test.go).
 const (
 	// evItemDone: a serial-device work item finished. A = device index
 	// (devCPU/devProg), N = slots to release, Start = span start.
@@ -188,6 +188,9 @@ const (
 type task struct {
 	op   *nn.Op
 	step int
+	// idx is the task's slab index, step*len(ops) + op ID: its handle in
+	// event payloads and checkpoints.
+	idx  int32
 	deps int
 	outs []*task
 
@@ -297,16 +300,21 @@ type exec struct {
 	fixedPending []*task
 	fixedHead    int
 
-	tasks     [][]*task // [step][opID]
+	slab      []task // the tasks, [step*len(ops) + opID] (task.idx)
 	stepLeft  []int
 	heldBack  [][]*task // dep-free tasks awaiting step admission
 	firstOpen int       // smallest step with unfinished tasks
 
-	// tpl/arena are set when the task DAG came from the template cache
-	// (template.go); the arena returns to the template's pool after the
-	// run.
-	tpl   *taskTemplate
+	// arena is set when the task DAG came from the template cache
+	// (template.go); it returns to the arena pool after the run.
 	arena *taskArena
+
+	// stack is the effective stack spec (derated under uniform
+	// placement) and coef[opID] the op's fixed-section constants on it:
+	// both fixed for the run, resolved once by initExec so the event
+	// loop only does arithmetic.
+	stack hw.StackSpec
+	coef  []device.FixedCoeffs
 
 	bk      Breakdown // serial attribution sums
 	usage   Usage
@@ -389,6 +397,43 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 	// Attach the collector before any scheduling happens; Release's
 	// Reset detaches it, so the pooled engine cannot leak it.
 	eng.SetCollector(opts.Collector)
+	x := initExec(eng, g, cfg, opts, placement)
+	if opts.UseSelection {
+		prof := CachedProfileStep(g, cfg.CPU)
+		if len(opts.HostOnlyOps) > 0 {
+			// Host-pinned operations (the Section VI-F non-CNN job) are
+			// not offload candidates: drop them from the profile so
+			// they cannot eat the x% selection budget. The cached
+			// profile is shared — filter into a fresh slice.
+			filtered := StepProfile{Entries: make([]ProfileEntry, 0, len(prof.Entries))}
+			for _, e := range prof.Entries {
+				if opts.HostOnlyOps[e.OpID] {
+					continue
+				}
+				filtered.Entries = append(filtered.Entries, e)
+				filtered.TotalTime += e.Time
+				filtered.TotalAccesses += e.MemAccesses
+			}
+			prof = filtered
+		}
+		x.cand = SelectCandidates(prof, opts.XPercent)
+	} else {
+		x.cand = AllOpsCandidates(g)
+	}
+	// Selection-rank decisions, for the metrics dump: how many ops the
+	// dual-index rank admitted to the candidate set.
+	eng.EmitCount("sched.ops", float64(len(g.Ops)))
+	eng.EmitCount("sched.candidates", float64(len(x.cand)))
+	return x, nil
+}
+
+// initExec builds the executor's per-run state over an engine and a
+// unit placement: devices, pool, status registers, the static bank
+// list, the task DAG, the effective stack and the per-op fixed-section
+// constants. It attaches the executor as the engine's typed-event
+// handler. Everything but the candidate set is here, so white-box tests
+// can build a run's executor exactly as newExec does.
+func initExec(eng *sim.Engine, g *nn.Graph, cfg hw.SystemConfig, opts Options, placement pim.Placement) *exec {
 	hostTrack := "cpu"
 	if opts.GPUHost {
 		hostTrack = "gpu"
@@ -420,44 +465,31 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 			}
 		}
 	}
-	if opts.UseSelection {
-		prof := CachedProfileStep(g, cfg.CPU)
-		if len(opts.HostOnlyOps) > 0 {
-			// Host-pinned operations (the Section VI-F non-CNN job) are
-			// not offload candidates: drop them from the profile so
-			// they cannot eat the x% selection budget. The cached
-			// profile is shared — filter into a fresh slice.
-			filtered := StepProfile{Entries: make([]ProfileEntry, 0, len(prof.Entries))}
-			for _, e := range prof.Entries {
-				if opts.HostOnlyOps[e.OpID] {
-					continue
-				}
-				filtered.Entries = append(filtered.Entries, e)
-				filtered.TotalTime += e.Time
-				filtered.TotalAccesses += e.MemAccesses
-			}
-			prof = filtered
-		}
-		x.cand = SelectCandidates(prof, opts.XPercent)
-	} else {
-		x.cand = AllOpsCandidates(g)
-	}
-	// Selection-rank decisions, for the metrics dump: how many ops the
-	// dual-index rank admitted to the candidate set.
-	eng.EmitCount("sched.ops", float64(len(g.Ops)))
-	eng.EmitCount("sched.candidates", float64(len(x.cand)))
 	x.buildTasks()
-	return x, nil
+	if a := x.arena; a != nil {
+		x.coef = a.coef
+		x.fixedPending = a.fixedPending
+		x.cpu.queue, x.prog.queue = a.cpuQueue, a.progQueue
+	} else {
+		x.coef = make([]device.FixedCoeffs, len(g.Ops))
+	}
+	x.stack = effStack(cfg.Stack, opts.UniformPlacement)
+	for _, op := range g.Ops {
+		x.coef[op.ID] = device.FixedCoeffsFor(op, cfg.FixedPIM, x.stack)
+	}
+	return x
 }
 
-// teardown returns the executor's pooled resources: the task arena to
-// its template's pool first, then the engine (whose Reset clears any
-// stale handler/collector references) — the same order the deferred
-// cleanups ran in before runPIM was split. Idempotent.
+// teardown returns the executor's pooled resources: the task arena
+// (with the scratch queues it lent the run, possibly grown) to the
+// arena pool first, then the engine (whose Reset clears any stale
+// handler/collector references). Idempotent.
 func (x *exec) teardown() {
-	if x.tpl != nil {
-		x.tpl.release(x.arena)
-		x.tpl, x.arena = nil, nil
+	if a := x.arena; a != nil {
+		a.fixedPending = x.fixedPending
+		a.cpuQueue, a.progQueue = x.cpu.queue, x.prog.queue
+		releaseArena(a)
+		x.arena = nil
 	}
 	if x.eng != nil {
 		sim.Release(x.eng)
@@ -493,9 +525,8 @@ func (x *exec) drainRun() (Result, error) {
 }
 
 // effStack returns the stack spec, derated under uniform placement.
-func (x *exec) effStack() hw.StackSpec {
-	s := x.cfg.Stack
-	if x.opts.UniformPlacement {
+func effStack(s hw.StackSpec, uniform bool) hw.StackSpec {
+	if uniform {
 		if s.FreqScale == 0 {
 			s.FreqScale = 1
 		}
@@ -519,9 +550,8 @@ func max0(v int) int {
 // fallback when templates are disabled).
 func (x *exec) buildTasks() {
 	if !templatesOff.Load() {
-		x.tpl = templateFor(x.g, x.opts.Steps, x.opts.OP)
-		x.arena = x.tpl.acquire(x.g)
-		x.tasks = x.arena.byStep
+		x.arena = templateFor(x.g, x.opts.Steps, x.opts.OP).acquire(x.g)
+		x.slab = x.arena.slab
 		x.stepLeft = x.arena.stepLeft
 		x.heldBack = x.arena.heldBack
 		return
@@ -554,19 +584,17 @@ func (x *exec) buildTasksScratch() {
 			}
 		}
 	}
-	slab := make([]task, steps*n)
-	ptrs := make([]*task, steps*n)
+	x.slab = make([]task, steps*n)
+	at := func(s, id int) *task { return &x.slab[s*n+id] }
 	edgeSlab := make([]*task, steps*sameEdges+max0(steps-1)*crossEdges)
-	x.tasks = make([][]*task, steps)
 	x.stepLeft = make([]int, steps)
 	x.heldBack = make([][]*task, steps)
 	off := 0
 	for s := 0; s < steps; s++ {
-		x.tasks[s] = ptrs[s*n : (s+1)*n]
 		x.stepLeft[s] = n
 		for _, op := range x.g.Ops {
-			t := &slab[s*n+op.ID]
-			t.op, t.step = op, s
+			t := at(s, op.ID)
+			t.op, t.step, t.idx = op, s, int32(s*n+op.ID)
 			// Carve the outs slice at its exact final capacity.
 			deg := outDeg[op.ID]
 			if s < steps-1 && !x.opts.OP {
@@ -574,14 +602,13 @@ func (x *exec) buildTasksScratch() {
 			}
 			t.outs = edgeSlab[off : off : off+deg]
 			off += deg
-			x.tasks[s][op.ID] = t
 		}
 	}
 	for s := 0; s < steps; s++ {
 		for _, op := range x.g.Ops {
-			t := x.tasks[s][op.ID]
+			t := at(s, op.ID)
 			for _, in := range op.Inputs {
-				src := x.tasks[s][in]
+				src := at(s, in)
 				src.outs = append(src.outs, t)
 				t.deps++
 			}
@@ -593,7 +620,7 @@ func (x *exec) buildTasksScratch() {
 			// edges are only wired for the strict (no-OP) mode.
 			if s > 0 && !x.opts.OP {
 				for _, cs := range op.CrossStep {
-					src := x.tasks[s-1][cs]
+					src := at(s-1, cs)
 					src.outs = append(src.outs, t)
 					t.deps++
 				}
@@ -612,11 +639,9 @@ func (x *exec) admitted(step int) bool {
 
 // seed dispatches every dependency-free task of admissible steps.
 func (x *exec) seed() {
-	for s := range x.tasks {
-		for _, t := range x.tasks[s] {
-			if t.deps == 0 {
-				x.maybeDispatch(t)
-			}
+	for i := range x.slab {
+		if t := &x.slab[i]; t.deps == 0 {
+			x.maybeDispatch(t)
 		}
 	}
 }
@@ -632,7 +657,7 @@ func (x *exec) maybeDispatch(t *task) {
 
 // dispatch applies the three scheduling principles to place a task.
 func (x *exec) dispatch(t *task) {
-	prof := nn.ProfileFor(t.op.Type)
+	prof := t.op.Profile()
 	isCand := x.cand[t.op.ID]
 	if x.opts.HostOnlyOps[t.op.ID] {
 		// Section VI-F policy: the non-CNN model "executes on CPU or
@@ -641,7 +666,7 @@ func (x *exec) dispatch(t *task) {
 		cpuDur := device.CPUOp(t.op, x.cfg.CPU).Time()
 		progDur := math.Inf(1)
 		if prof.ProgEligible && x.prog.slots > 0 {
-			progDur = device.ProgOp(t.op, x.cfg.ProgPIM, 1, x.effStack()).Time()
+			progDur = device.ProgOp(t.op, x.cfg.ProgPIM, 1, x.stack).Time()
 		}
 		if x.cpu.busy >= x.cpu.slots && x.prog.busy < x.prog.slots && progDur <= 2*cpuDur {
 			x.startProg(t)
@@ -777,7 +802,7 @@ func (x *exec) pumpDevice(d *serialDevice) {
 			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: w.t.op.Name, Kind: "op", Step: w.t.step})
 		}
 		if err := x.eng.AfterEv(w.dur, sim.Ev{
-			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Ptr: w.t,
+			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Idx: w.t.idx,
 		}); err != nil {
 			x.err = err
 		}
@@ -806,7 +831,7 @@ func (x *exec) residualTrack() string {
 // exact statement order of the closure it replaced — the golden tables
 // are bit-sensitive to it.
 func (x *exec) HandleEvent(ev sim.Ev) {
-	t := ev.Ptr.(*task)
+	t := &x.slab[ev.Idx]
 	switch ev.Kind {
 	case evItemDone:
 		d := x.cpu
@@ -844,7 +869,7 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 		// Completion: with RC the programmable PIM notifies the host
 		// once; without RC the host already synchronized per kernel.
 		if x.opts.RC {
-			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Flag: false, Ptr: t})
+			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Flag: false, Idx: t.idx})
 		} else {
 			x.runResidual(t, false)
 		}
@@ -896,7 +921,7 @@ func (x *exec) startProg(t *task) {
 			procs = x.prog.slots
 		}
 	}
-	w := device.ProgOp(t.op, x.cfg.ProgPIM, procs, x.effStack())
+	w := device.ProgOp(t.op, x.cfg.ProgPIM, procs, x.stack)
 	opT, dmT := splitWork(w)
 	x.usage.PIMBytes += t.op.Bytes
 	launch := x.cfg.ProgPIM.KernelLaunchOverhead + x.cfg.FixedPIM.HostSyncOverhead
@@ -952,7 +977,7 @@ func (x *exec) startFixed(t *task) {
 	if x.opts.RC {
 		// In-stack synchronization rides the (PLL-scaled) logic clock,
 		// which is why Fig. 11's sync bars shrink at 2x and 4x.
-		scale := x.effStack().FreqScale
+		scale := x.stack.FreqScale
 		if scale <= 0 {
 			scale = 1
 		}
@@ -971,7 +996,7 @@ func (x *exec) startFixed(t *task) {
 	// recursive kernel on the programmable PIM; without RC the host
 	// drives every small kernel itself (charged per kernel, below).
 	if x.opts.RC {
-		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Flag: true, Ptr: t})
+		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Flag: true, Idx: t.idx})
 	} else {
 		x.runResidual(t, true)
 	}
@@ -986,7 +1011,7 @@ func (x *exec) startFixed(t *task) {
 func (x *exec) runResidual(t *task, before bool) {
 	var w device.Work
 	if x.opts.RC && x.prog.slots > 0 {
-		w = device.ProgResidual(t.op, x.cfg.ProgPIM, x.effStack())
+		w = device.ProgResidual(t.op, x.cfg.ProgPIM, x.stack)
 		x.usage.PIMBytes += t.op.Bytes * 0.10 / 2
 	} else {
 		w = device.CPUResidual(t.op, x.cfg.CPU)
@@ -1005,7 +1030,7 @@ func (x *exec) runResidual(t *task, before bool) {
 		x.eng.EmitTaskStart(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step})
 	}
 	if err := x.eng.AfterEv(half.Time(), sim.Ev{
-		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Ptr: t,
+		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Idx: t.idx,
 	}); err != nil {
 		x.err = err
 	}
@@ -1031,22 +1056,31 @@ func (x *exec) requestSection(t *task) {
 	x.runSection(t, granted)
 }
 
-// popFixedPending removes the head of the fixed-pool wait queue.
+// popFixedPending removes the head of the fixed-pool wait queue,
+// reusing the front of its backing array the way serialDevice.pop does.
 func (x *exec) popFixedPending() *task {
 	t := x.fixedPending[x.fixedHead]
 	x.fixedPending[x.fixedHead] = nil // drop the task reference for the GC
 	x.fixedHead++
-	if x.fixedHead == len(x.fixedPending) {
+	switch {
+	case x.fixedHead == len(x.fixedPending):
 		x.fixedPending = x.fixedPending[:0]
+		x.fixedHead = 0
+	case x.fixedHead > 32 && x.fixedHead*2 > len(x.fixedPending):
+		n := copy(x.fixedPending, x.fixedPending[x.fixedHead:])
+		clear(x.fixedPending[n:])
+		x.fixedPending = x.fixedPending[:n]
 		x.fixedHead = 0
 	}
 	return t
 }
 
-// runSection executes one time-quantum chunk on granted units.
+// runSection executes one time-quantum chunk on granted units. Its
+// arithmetic is device.FixedSectionTime's, evaluated on the op's
+// per-run constants.
 func (x *exec) runSection(t *task, granted int) {
-	spec := x.cfg.FixedPIM
-	full := device.FixedSectionTime(t.op, t.remFlops, t.remBytes, granted, spec, x.effStack())
+	c := &x.coef[t.op.ID]
+	full := c.SectionTime(t.remFlops, t.remBytes, granted)
 	if math.IsInf(full, 1) || math.IsNaN(full) {
 		x.err = fmt.Errorf("core: op %s: non-finite section time with %d units", t.op.Name, granted)
 		return
@@ -1067,7 +1101,7 @@ func (x *exec) runSection(t *task, granted int) {
 	syncCost := t.syncPerFlop * chunkFlops
 	x.bk.Sync += syncCost
 	// Breakdown attribution follows the roofline split.
-	rate := device.FixedUnitRate(t.op, spec, x.effStack()) * float64(granted)
+	rate := c.UnitRate * float64(granted)
 	compT := chunkFlops / rate
 	opT := math.Min(compT, dur)
 	x.bk.Operation += opT
@@ -1082,7 +1116,7 @@ func (x *exec) runSection(t *task, granted int) {
 	if err := x.eng.AfterEv(dur, sim.Ev{
 		Kind: evSectionDone, N: int32(granted),
 		F1: chunkFlops, F2: chunkBytes, F3: syncCost,
-		Start: x.eng.Now(), Ptr: t,
+		Start: x.eng.Now(), Idx: t.idx,
 	}); err != nil {
 		x.err = err
 	}
@@ -1109,7 +1143,7 @@ func (x *exec) sectionDone(t *task, ev sim.Ev) {
 	}
 	x.pumpFixedPending()
 	// The synchronization gap runs with the units already released.
-	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Ptr: t}); err != nil {
+	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Idx: t.idx}); err != nil {
 		x.err = err
 	}
 }

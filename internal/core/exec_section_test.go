@@ -116,8 +116,10 @@ func TestSectionContentionFIFOAndOrdering(t *testing.T) {
 	}
 }
 
-// newSectionExec builds a minimal executor over a real pool for direct
-// unit tests of the request/pump path.
+// newSectionExec builds a run's executor over a real pool through the
+// shipped per-run init (initExec), for direct unit tests of the
+// request/pump path. The task DAG is sectionGraph's two ops at Steps 1,
+// so slab indices 0 and 1 are opA and opB.
 func newSectionExec(t *testing.T, units int) *exec {
 	t.Helper()
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
@@ -130,20 +132,17 @@ func newSectionExec(t *testing.T, units int) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sectionGraph()
-	eng := sim.New()
-	x := &exec{
-		eng:  eng,
-		cfg:  cfg,
-		g:    g,
-		opts: Options{Steps: 1}.withDefaults(),
-		pool: pim.NewPool(cfg.FixedPIM, placement),
-		regs: pim.NewRegisters(cfg.Stack.Banks, cfg.ProgPIM.Processors),
-		cpu:  &serialDevice{idx: devCPU, slots: 2, sjf: true, name: "cpu", queueMetric: "queue.cpu"},
-		prog: &serialDevice{idx: devProg, slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
-	}
-	eng.SetHandler(x)
+	x := initExec(sim.New(), sectionGraph(), cfg, Options{Steps: 1}.withDefaults(), placement)
+	t.Cleanup(x.teardown)
 	return x
+}
+
+// sectionTask returns the executor's task at slab index idx, primed
+// with decomposable work still to stream.
+func sectionTask(x *exec, idx int32) *task {
+	tk := x.taskAt(idx)
+	tk.remFlops, tk.remBytes = 1e9, 1e7
+	return tk
 }
 
 // TestRequestSectionZeroGrantQueues checks the zero-granted-units edge
@@ -151,8 +150,8 @@ func newSectionExec(t *testing.T, units int) *exec {
 // served, in order, by pumpFixedPending once units free up.
 func TestRequestSectionZeroGrantQueues(t *testing.T) {
 	x := newSectionExec(t, 34) // two granules of 17
-	a := &task{op: x.g.Ops[0], remFlops: 1e9, remBytes: 1e7}
-	b := &task{op: x.g.Ops[1], remFlops: 1e9, remBytes: 1e7}
+	a := sectionTask(x, 0)
+	b := sectionTask(x, 1)
 
 	x.pool.Grant(34) // saturate the pool externally
 	x.requestSection(a)
@@ -188,7 +187,7 @@ func TestRequestSectionZeroGrantQueues(t *testing.T) {
 // forever.
 func TestRequestSectionGranuleClampedToPool(t *testing.T) {
 	x := newSectionExec(t, 8) // pool smaller than the op granule (17)
-	a := &task{op: x.g.Ops[0], remFlops: 1e9, remBytes: 1e7}
+	a := sectionTask(x, 0)
 	x.requestSection(a)
 	if got := len(x.fixedPending) - x.fixedHead; got != 0 {
 		t.Fatalf("request queued (%d pending) instead of running on the clamped granule", got)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"heteropim/internal/device"
 	"heteropim/internal/nn"
 )
 
@@ -52,8 +53,7 @@ func structDigest(g *nn.Graph) uint64 {
 }
 
 // taskTemplate is the immutable per-(structure, steps, OP) blueprint:
-// initial dep counts and out-edges as slab indices (index = step*n+opID),
-// plus a pool of ready-to-reset arenas.
+// initial dep counts and out-edges as slab indices (index = step*n+opID).
 type taskTemplate struct {
 	n, steps int
 	// deps[i] is task i's initial dependency count.
@@ -62,19 +62,34 @@ type taskTemplate struct {
 	// dependents, in scratch wiring order.
 	outStart []int32
 	outIdx   []int32
-	pool     sync.Pool // *taskArena
 }
 
 // taskArena is one instantiation: a task slab with outs wired as
-// pointers into the same slab, and the executor's per-step bookkeeping.
-// The pointer wiring is stable across reuse (the slab never moves), so
-// re-acquiring an arena only resets scalar fields.
+// pointers into the same slab, the executor's per-step bookkeeping, and
+// its per-run scratch. Arenas are pooled across templates (arenaPool):
+// wired is the template the slab's wiring matches, so re-acquiring for
+// that template only resets scalar fields, and any other template
+// rewires the slabs in place, reallocating only those too small. A
+// sweep that interleaves many templates therefore recycles a few
+// arenas instead of building one per template and losing it to the
+// next GC.
 type taskArena struct {
+	wired    *taskTemplate
 	slab     []task
-	byStep   [][]*task // [step][opID], aliasing one ptrs slab
+	edges    []*task // every task's outs alias it
 	stepLeft []int
 	heldBack [][]*task
+
+	// Executor scratch, overwritten or emptied by every run: the per-op
+	// fixed-section constants (exec.coef), the fixed-pool wait queue and
+	// the serial-device queues' backing arrays.
+	coef                []device.FixedCoeffs
+	fixedPending        []*task
+	cpuQueue, progQueue []workItem
 }
+
+// arenaPool recycles task arenas (*taskArena) across runs and templates.
+var arenaPool sync.Pool
 
 // templateEntry is one cache slot; once guards the single build.
 type templateEntry struct {
@@ -163,42 +178,47 @@ func buildTemplate(g *nn.Graph, steps int, op bool) *taskTemplate {
 	return tpl
 }
 
-// newArena clones the template into fresh slabs: one task slab, one
-// pointer slab (shared by every byStep row) and one edge slab every
-// task's outs alias.
-func (tpl *taskTemplate) newArena() *taskArena {
+// resize returns s with length n, reusing its backing array when large
+// enough. Reused elements keep their old values; the elements cut off
+// are zeroed, so a shrunk slab holds no stale pointers.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s[n:cap(s)])
+	return s[:n]
+}
+
+// wire lays tpl's task DAG into the arena's slabs: task i gets its step,
+// slab index and outs, the dependents of tpl.outIdx in wiring order.
+func (a *taskArena) wire(tpl *taskTemplate) {
 	slabLen := tpl.steps * tpl.n
-	a := &taskArena{
-		slab:     make([]task, slabLen),
-		byStep:   make([][]*task, tpl.steps),
-		stepLeft: make([]int, tpl.steps),
-		heldBack: make([][]*task, tpl.steps),
-	}
-	ptrs := make([]*task, slabLen)
-	for i := range a.slab {
-		ptrs[i] = &a.slab[i]
-	}
-	edges := make([]*task, len(tpl.outIdx))
+	a.slab = resize(a.slab, slabLen)
+	a.edges = resize(a.edges, len(tpl.outIdx))
 	for i, d := range tpl.outIdx {
-		edges[i] = ptrs[d]
+		a.edges[i] = &a.slab[d]
 	}
 	for i := range a.slab {
 		t := &a.slab[i]
 		t.step = i / tpl.n
-		t.outs = edges[tpl.outStart[i]:tpl.outStart[i+1]]
+		t.idx = int32(i)
+		t.outs = a.edges[tpl.outStart[i]:tpl.outStart[i+1]]
 	}
-	for s := 0; s < tpl.steps; s++ {
-		a.byStep[s] = ptrs[s*tpl.n : (s+1)*tpl.n]
-	}
-	return a
+	a.stepLeft = resize(a.stepLeft, tpl.steps)
+	a.heldBack = resize(a.heldBack, tpl.steps)
+	a.coef = resize(a.coef, tpl.n)
+	a.wired = tpl
 }
 
-// acquire returns an arena wired for g, pooled when available. Only the
-// per-run mutable fields are reset; step, outs and byStep survive reuse.
+// acquire returns a pooled arena wired for tpl and bound to g. Only the
+// per-run mutable fields are reset when the arena already matches tpl.
 func (tpl *taskTemplate) acquire(g *nn.Graph) *taskArena {
-	a, _ := tpl.pool.Get().(*taskArena)
+	a, _ := arenaPool.Get().(*taskArena)
 	if a == nil {
-		a = tpl.newArena()
+		a = new(taskArena)
+	}
+	if a.wired != tpl {
+		a.wire(tpl)
 	}
 	for i := range a.slab {
 		t := &a.slab[i]
@@ -212,18 +232,32 @@ func (tpl *taskTemplate) acquire(g *nn.Graph) *taskArena {
 	}
 	for s := range a.stepLeft {
 		a.stepLeft[s] = tpl.n
-		a.heldBack[s] = a.heldBack[s][:0]
 	}
 	return a
 }
 
-// release drops the arena's graph references and returns it to the pool.
-func (tpl *taskTemplate) release(a *taskArena) {
+// releaseArena drops the arena's graph references, empties its scratch
+// queues (clearing their task pointers, which a later rewire may leave
+// pointing into a replaced slab) and returns it to the pool.
+func releaseArena(a *taskArena) {
 	if a == nil {
 		return
 	}
 	for i := range a.slab {
 		a.slab[i].op = nil
 	}
-	tpl.pool.Put(a)
+	for s := range a.heldBack {
+		a.heldBack[s] = clearAll(a.heldBack[s])
+	}
+	a.fixedPending = clearAll(a.fixedPending)
+	a.cpuQueue = clearAll(a.cpuQueue)
+	a.progQueue = clearAll(a.progQueue)
+	arenaPool.Put(a)
+}
+
+// clearAll zeroes s up to its capacity and returns it emptied.
+func clearAll[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }

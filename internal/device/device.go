@@ -47,7 +47,7 @@ func safeDiv(num, den float64) float64 {
 
 // CPUOp models a whole operation on the host CPU.
 func CPUOp(op *nn.Op, cpu hw.CPUSpec) Work {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	return Work{
 		Compute: safeDiv(op.TotalFlops(), cpu.Peak()*p.CPUComputeEff),
 		Memory:  safeDiv(op.Bytes, cpu.MemBandwidth*p.CPUBwEff),
@@ -57,7 +57,7 @@ func CPUOp(op *nn.Op, cpu hw.CPUSpec) Work {
 // CPUResidual models only the non-decomposable phases of an op on the
 // CPU (the Fixed-PIM-only baseline runs these phases host-side).
 func CPUResidual(op *nn.Op, cpu hw.CPUSpec) Work {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	return Work{
 		Compute: safeDiv(op.ResidualFlops(), cpu.Peak()*p.CPUComputeEff),
 		Memory:  safeDiv(op.Bytes*residualByteFrac, cpu.MemBandwidth*p.CPUBwEff),
@@ -68,7 +68,7 @@ func CPUResidual(op *nn.Op, cpu hw.CPUSpec) Work {
 // GPU utilization from Section V-D; the launch overhead is charged by
 // the executor, and host<->device transfers are charged per step.
 func GPUOp(op *nn.Op, gpu hw.GPUSpec, util float64) Work {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	if util <= 0 {
 		util = 1
 	}
@@ -104,7 +104,7 @@ const decomposableByteFrac = 1 - residualByteFrac
 // ProgOp models a whole operation on `processors` programmable-PIM
 // processors (bounded by the op's intrinsic parallelism).
 func ProgOp(op *nn.Op, spec hw.ProgPIMSpec, processors int, stack hw.StackSpec) Work {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	usable := nn.ProgParallelismFor(op.Type)
 	if processors < usable {
 		usable = processors
@@ -126,7 +126,7 @@ func ProgOp(op *nn.Op, spec hw.ProgPIMSpec, processors int, stack hw.StackSpec) 
 func ProgResidual(op *nn.Op, spec hw.ProgPIMSpec, stack hw.StackSpec) Work {
 	perProc := float64(spec.CoresPerProcessor) * spec.Freq * spec.FlopsPerCycle
 	const residualEff = 0.5
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	return Work{
 		Compute: safeDiv(op.ResidualFlops(), perProc*residualEff),
 		Memory:  safeDiv(op.Bytes*residualByteFrac, stack.ScaledInternalBandwidth()*p.ProgBwEff),
@@ -137,11 +137,44 @@ func ProgResidual(op *nn.Op, spec hw.ProgPIMSpec, stack hw.StackSpec) Work {
 // the (possibly frequency-scaled) stack clock, after the op's sustained
 // efficiency.
 func FixedUnitRate(op *nn.Op, spec hw.FixedPIMSpec, stack hw.StackSpec) hw.FlopsPerSec {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	if !p.FixedEligible {
 		return 0
 	}
 	return spec.FlopsPerUnitCycle * stack.EffectiveFreq() * p.FixedComputeEff
+}
+
+// FixedCoeffs are the configuration-dependent constants of an op's
+// fixed-function section time: the per-unit FLOP rate (FixedUnitRate)
+// and the bandwidth denominator of its streamed bytes. They are fixed
+// for a whole run, so an executor resolves them once per op and then
+// evaluates sections with SectionTime, which computes FixedSectionTime's
+// float expressions in the same order and so returns the same bits.
+type FixedCoeffs struct {
+	UnitRate hw.FlopsPerSec
+	BwDen    hw.BytesPerSec
+}
+
+// FixedCoeffsFor resolves op's section-time constants on (spec, stack).
+func FixedCoeffsFor(op *nn.Op, spec hw.FixedPIMSpec, stack hw.StackSpec) FixedCoeffs {
+	return FixedCoeffs{
+		UnitRate: FixedUnitRate(op, spec, stack),
+		BwDen:    stack.ScaledInternalBandwidth() * op.Profile().FixedBwEff,
+	}
+}
+
+// SectionTime is the duration of executing `flops` of decomposable work
+// (with its share of `bytes`) on `units` granted units; +Inf without
+// units.
+func (c FixedCoeffs) SectionTime(flops, bytes float64, units int) hw.Seconds {
+	if units <= 0 {
+		return math.Inf(1)
+	}
+	w := Work{
+		Compute: safeDiv(flops, c.UnitRate*float64(units)),
+		Memory:  safeDiv(bytes, c.BwDen),
+	}
+	return w.Time()
 }
 
 // fixedStreamReuse estimates how many FLOPs the fixed-function units
@@ -176,12 +209,14 @@ func FixedWork(op *nn.Op) (flops, bytes float64) {
 }
 
 // FixedSectionTime is the duration of executing `flops` of decomposable
-// work (with its share of `bytes`) on `units` granted units.
+// work (with its share of `bytes`) on `units` granted units — the
+// reference section model, which FixedCoeffs.SectionTime reproduces bit
+// for bit.
 func FixedSectionTime(op *nn.Op, flops, bytes float64, units int, spec hw.FixedPIMSpec, stack hw.StackSpec) hw.Seconds {
 	if units <= 0 {
 		return math.Inf(1)
 	}
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	rate := FixedUnitRate(op, spec, stack) * float64(units)
 	w := Work{
 		Compute: safeDiv(flops, rate),
@@ -230,7 +265,7 @@ func (n NeurocubeSpec) Peak() hw.FlopsPerSec {
 // NeurocubeOp models one operation on Neurocube. Non-MAC-friendly ops
 // (conditionals, scatter) run at a fraction of the array's efficiency.
 func NeurocubeOp(op *nn.Op, spec NeurocubeSpec) Work {
-	p := nn.ProfileFor(op.Type)
+	p := op.Profile()
 	eff := spec.ComputeEff
 	if !p.FixedEligible {
 		// The MAC arrays stall on control-heavy work; the embedded

@@ -37,6 +37,22 @@ type Op struct {
 	// complete first (used for weight updates gating the next step's
 	// forward ops).
 	CrossStep []int
+
+	// prof is Type's profile, resolved once by Graph.AddOp (nil for ops
+	// built without it); see Profile.
+	prof *Profile
+}
+
+// Profile returns the behaviour profile of the op's type. Ops added
+// through Graph.AddOp carry it resolved, so this is a field read; any
+// other op (or one whose Type changed since AddOp) resolves it on each
+// call and caches nothing, so shared ops are never written. The
+// returned profile must not be modified.
+func (o *Op) Profile() *Profile {
+	if p := o.prof; p != nil && p.Type == o.Type {
+		return p
+	}
+	return resolveProfile(o.Type)
 }
 
 // TotalFlops returns all arithmetic of the op.
@@ -47,7 +63,7 @@ func (o *Op) TotalFlops() float64 { return o.Muls + o.Adds + o.OtherFlops }
 // OtherFlops never decomposes — it is the Fig. 6 "computation phases"
 // that need a programmable core.
 func (o *Op) DecomposableFlops() float64 {
-	return (o.Muls + o.Adds) * ProfileFor(o.Type).DecomposableFrac
+	return (o.Muls + o.Adds) * o.Profile().DecomposableFrac
 }
 
 // ResidualFlops is the arithmetic that must run on a programmable
@@ -82,9 +98,11 @@ type Graph struct {
 	GPUEffFactor float64
 }
 
-// AddOp appends an op, assigning its ID, and returns it.
+// AddOp appends an op, assigning its ID and resolving its profile, and
+// returns it.
 func (g *Graph) AddOp(op Op) *Op {
 	op.ID = len(g.Ops)
+	op.prof = resolveProfile(op.Type)
 	o := &op
 	g.Ops = append(g.Ops, o)
 	return o

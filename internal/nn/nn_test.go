@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -263,6 +264,58 @@ func TestProfileTableConsistency(t *testing.T) {
 		if ProgParallelismFor(tp) < 1 {
 			t.Errorf("%s: prog parallelism < 1", tp)
 		}
+	}
+}
+
+// TestKnownOpTypesCatalogOrder checks that KnownOpTypes is
+// deterministic (catalog order, identical on every call) and that every
+// entry resolves to its own catalog profile, through ProfileFor and
+// through an op added to a graph.
+func TestKnownOpTypesCatalogOrder(t *testing.T) {
+	first := KnownOpTypes()
+	if len(first) != len(catalog) || first[0] != OpConv2D || first[len(first)-1] != OpAvgPoolGrad {
+		t.Fatalf("KnownOpTypes = %v, want the %d catalog types from Conv2D to AvgPoolGrad", first, len(catalog))
+	}
+	for i := 0; i < 5; i++ {
+		if again := KnownOpTypes(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("KnownOpTypes order changed between calls:\n%v\n%v", first, again)
+		}
+	}
+	g := &Graph{Model: "catalog"}
+	seen := map[OpType]bool{}
+	for i, tp := range first {
+		if seen[tp] {
+			t.Fatalf("%s listed twice", tp)
+		}
+		seen[tp] = true
+		if p := ProfileFor(tp); p.Type != tp || p != catalog[i] {
+			t.Errorf("%s: ProfileFor returns %+v, want catalog entry %d", tp, p, i)
+		}
+		op := g.AddOp(Op{Name: string(tp), Type: tp})
+		if p := op.Profile(); p != &catalog[i] || p.Type != tp {
+			t.Errorf("%s: AddOp resolved %p (type %s), want &catalog[%d]", tp, p, p.Type, i)
+		}
+	}
+}
+
+// TestOpProfileFollowsType checks the resolved-profile cache against the
+// ways an op can reach a caller: built without AddOp (resolved per call,
+// nothing cached), and retyped after AddOp (the stale pointer is
+// ignored).
+func TestOpProfileFollowsType(t *testing.T) {
+	bare := &Op{Type: OpMatMul}
+	if p := bare.Profile(); p.Type != OpMatMul || bare.prof != nil {
+		t.Fatalf("bare op: profile type %s, cached %p; want MatMul resolved per call", p.Type, bare.prof)
+	}
+	g := &Graph{}
+	op := g.AddOp(Op{Type: OpConv2D})
+	op.Type = OpRelu
+	if p := op.Profile(); p.Type != OpRelu || p.FixedEligible {
+		t.Fatalf("retyped op resolved %+v, want the Relu profile", *p)
+	}
+	unknown := g.AddOp(Op{Type: "SomethingNew"})
+	if p := unknown.Profile(); *p != ProfileFor("SomethingNew") {
+		t.Fatalf("uncatalogued op resolved %+v, want the fallback", *p)
 	}
 }
 

@@ -95,37 +95,38 @@ type Profile struct {
 	FixedBwEff      float64
 }
 
-// profiles is the per-type behaviour table. The numbers are calibration
-// constants chosen so the CPU model reproduces Table I's ranking
-// structure and the cross-device factors land in the paper's headline
-// bands (DESIGN.md §4-5); they are not vendor datasheet values.
-var profiles = map[OpType]Profile{
-	OpConv2D: {
+// catalog is the per-type behaviour table; its order is the one
+// KnownOpTypes reports. The numbers are calibration constants chosen so
+// the CPU model reproduces Table I's ranking structure and the
+// cross-device factors land in the paper's headline bands (DESIGN.md
+// §4-5); they are not vendor datasheet values.
+var catalog = [...]Profile{
+	{
 		Type: OpConv2D, FixedEligible: true, ProgEligible: true, DecomposableFrac: 1.0,
 		CPUComputeEff: 0.40, CPUBwEff: 0.45, GPUComputeEff: 0.055, GPUBwEff: 0.60,
 		ProgComputeEff: 0.22, ProgBwEff: 0.70, FixedComputeEff: 0.95, FixedBwEff: 0.85,
 	},
-	OpConv2DBackpropFilter: {
+	{
 		Type: OpConv2DBackpropFilter, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.999,
 		CPUComputeEff: 0.10, CPUBwEff: 0.18, GPUComputeEff: 0.042, GPUBwEff: 0.55,
 		ProgComputeEff: 0.15, ProgBwEff: 0.60, FixedComputeEff: 0.92, FixedBwEff: 0.85,
 	},
-	OpConv2DBackpropInput: {
+	{
 		Type: OpConv2DBackpropInput, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.999,
 		CPUComputeEff: 0.115, CPUBwEff: 0.22, GPUComputeEff: 0.045, GPUBwEff: 0.55,
 		ProgComputeEff: 0.17, ProgBwEff: 0.60, FixedComputeEff: 0.93, FixedBwEff: 0.85,
 	},
-	OpMatMul: {
+	{
 		Type: OpMatMul, FixedEligible: true, ProgEligible: true, DecomposableFrac: 1.0,
 		CPUComputeEff: 0.22, CPUBwEff: 0.40, GPUComputeEff: 0.060, GPUBwEff: 0.60,
 		ProgComputeEff: 0.25, ProgBwEff: 0.70, FixedComputeEff: 0.95, FixedBwEff: 0.85,
 	},
-	OpBiasAdd: {
+	{
 		Type: OpBiasAdd, FixedEligible: true, ProgEligible: true, DecomposableFrac: 1,
 		CPUComputeEff: 0.10, CPUBwEff: 0.50, GPUComputeEff: 0.02, GPUBwEff: 0.70,
 		ProgComputeEff: 0.55, ProgBwEff: 0.80, FixedComputeEff: 0.90, FixedBwEff: 0.90,
 	},
-	OpBiasAddGrad: {
+	{
 		// TensorFlow's strided column reduction: dreadful CPU bandwidth
 		// efficiency, which is why it is #2 on VGG-19's MI list while
 		// contributing little arithmetic.
@@ -133,149 +134,149 @@ var profiles = map[OpType]Profile{
 		CPUComputeEff: 0.02, CPUBwEff: 0.055, GPUComputeEff: 0.015, GPUBwEff: 0.45,
 		ProgComputeEff: 0.45, ProgBwEff: 0.75, FixedComputeEff: 0.85, FixedBwEff: 0.90,
 	},
-	OpRelu: {
+	{
 		// Conditional: not decomposable to multiply/add, programmable
 		// PIM territory (Section II-A).
 		Type: OpRelu, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.06, CPUBwEff: 0.55, GPUComputeEff: 0.01, GPUBwEff: 0.75,
 		ProgComputeEff: 0.60, ProgBwEff: 0.85, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpReluGrad: {
+	{
 		Type: OpReluGrad, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.06, CPUBwEff: 0.50, GPUComputeEff: 0.01, GPUBwEff: 0.75,
 		ProgComputeEff: 0.60, ProgBwEff: 0.85, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpMaxPool: {
+	{
 		// Sample-based discretization: comparisons, not mul/add.
 		Type: OpMaxPool, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.05, CPUBwEff: 0.45, GPUComputeEff: 0.01, GPUBwEff: 0.70,
 		ProgComputeEff: 0.55, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpMaxPoolGrad: {
+	{
 		Type: OpMaxPoolGrad, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.04, CPUBwEff: 0.35, GPUComputeEff: 0.01, GPUBwEff: 0.65,
 		ProgComputeEff: 0.50, ProgBwEff: 0.75, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpApplyAdam: {
+	{
 		// sqrt + division: partially decomposable; the paper names it a
 		// programmable-PIM op.
 		Type: OpApplyAdam, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.60,
 		CPUComputeEff: 0.08, CPUBwEff: 0.45, GPUComputeEff: 0.015, GPUBwEff: 0.70,
 		ProgComputeEff: 0.55, ProgBwEff: 0.80, FixedComputeEff: 0.85, FixedBwEff: 0.90,
 	},
-	OpSoftmax: {
+	{
 		Type: OpSoftmax, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.05, CPUBwEff: 0.40, GPUComputeEff: 0.01, GPUBwEff: 0.60,
 		ProgComputeEff: 0.45, ProgBwEff: 0.75, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpCrossEntropy: {
+	{
 		Type: OpCrossEntropy, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.05, CPUBwEff: 0.40, GPUComputeEff: 0.01, GPUBwEff: 0.60,
 		ProgComputeEff: 0.45, ProgBwEff: 0.75, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpMul: {
+	{
 		Type: OpMul, FixedEligible: true, ProgEligible: true, DecomposableFrac: 1,
 		CPUComputeEff: 0.10, CPUBwEff: 0.50, GPUComputeEff: 0.02, GPUBwEff: 0.75,
 		ProgComputeEff: 0.60, ProgBwEff: 0.85, FixedComputeEff: 0.90, FixedBwEff: 0.90,
 	},
-	OpAdd: {
+	{
 		Type: OpAdd, FixedEligible: true, ProgEligible: true, DecomposableFrac: 1,
 		CPUComputeEff: 0.10, CPUBwEff: 0.50, GPUComputeEff: 0.02, GPUBwEff: 0.75,
 		ProgComputeEff: 0.60, ProgBwEff: 0.85, FixedComputeEff: 0.90, FixedBwEff: 0.90,
 	},
-	OpSlice: {
+	{
 		// Pure data movement with limited parallelism: the paper's
 		// example of a small op that benefits from the pipeline.
 		Type: OpSlice, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.30, GPUComputeEff: 0.005, GPUBwEff: 0.55,
 		ProgComputeEff: 0.10, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpReshape: {
+	{
 		Type: OpReshape, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.60, GPUComputeEff: 0.005, GPUBwEff: 0.80,
 		ProgComputeEff: 0.10, ProgBwEff: 0.85, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpSum: {
+	{
 		Type: OpSum, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.95,
 		CPUComputeEff: 0.05, CPUBwEff: 0.25, GPUComputeEff: 0.01, GPUBwEff: 0.55,
 		ProgComputeEff: 0.45, ProgBwEff: 0.75, FixedComputeEff: 0.85, FixedBwEff: 0.90,
 	},
-	OpMean: {
+	{
 		Type: OpMean, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.90,
 		CPUComputeEff: 0.05, CPUBwEff: 0.25, GPUComputeEff: 0.01, GPUBwEff: 0.55,
 		ProgComputeEff: 0.45, ProgBwEff: 0.75, FixedComputeEff: 0.85, FixedBwEff: 0.90,
 	},
-	OpTranspose: {
+	{
 		Type: OpTranspose, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.25, GPUComputeEff: 0.005, GPUBwEff: 0.50,
 		ProgComputeEff: 0.10, ProgBwEff: 0.70, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpPad: {
+	{
 		Type: OpPad, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.45, GPUComputeEff: 0.005, GPUBwEff: 0.70,
 		ProgComputeEff: 0.10, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpConcat: {
+	{
 		Type: OpConcat, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.45, GPUComputeEff: 0.005, GPUBwEff: 0.70,
 		ProgComputeEff: 0.10, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpBatchNorm: {
+	{
 		Type: OpBatchNorm, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.95,
 		CPUComputeEff: 0.06, CPUBwEff: 0.35, GPUComputeEff: 0.012, GPUBwEff: 0.60,
 		ProgComputeEff: 0.50, ProgBwEff: 0.75, FixedComputeEff: 0.85, FixedBwEff: 0.88,
 	},
-	OpBatchNormGrad: {
+	{
 		Type: OpBatchNormGrad, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.95,
 		CPUComputeEff: 0.05, CPUBwEff: 0.30, GPUComputeEff: 0.012, GPUBwEff: 0.55,
 		ProgComputeEff: 0.45, ProgBwEff: 0.72, FixedComputeEff: 0.85, FixedBwEff: 0.88,
 	},
-	OpTanh: {
+	{
 		Type: OpTanh, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.04, CPUBwEff: 0.45, GPUComputeEff: 0.01, GPUBwEff: 0.70,
 		ProgComputeEff: 0.45, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpSigmoid: {
+	{
 		Type: OpSigmoid, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.04, CPUBwEff: 0.45, GPUComputeEff: 0.01, GPUBwEff: 0.70,
 		ProgComputeEff: 0.45, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpLSTMCell: {
+	{
 		Type: OpLSTMCell, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.85,
 		CPUComputeEff: 0.20, CPUBwEff: 0.40, GPUComputeEff: 0.05, GPUBwEff: 0.60,
 		ProgComputeEff: 0.25, ProgBwEff: 0.70, FixedComputeEff: 0.90, FixedBwEff: 0.85,
 	},
-	OpLSTMCellGrad: {
+	{
 		Type: OpLSTMCellGrad, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.80,
 		CPUComputeEff: 0.12, CPUBwEff: 0.30, GPUComputeEff: 0.045, GPUBwEff: 0.55,
 		ProgComputeEff: 0.20, ProgBwEff: 0.65, FixedComputeEff: 0.88, FixedBwEff: 0.85,
 	},
-	OpEmbeddingLookup: {
+	{
 		Type: OpEmbeddingLookup, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.15, GPUComputeEff: 0.005, GPUBwEff: 0.35,
 		ProgComputeEff: 0.10, ProgBwEff: 0.70, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpEmbeddingGrad: {
+	{
 		Type: OpEmbeddingGrad, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.02, CPUBwEff: 0.12, GPUComputeEff: 0.005, GPUBwEff: 0.30,
 		ProgComputeEff: 0.10, ProgBwEff: 0.65, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpNCELoss: {
+	{
 		Type: OpNCELoss, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.80,
 		CPUComputeEff: 0.15, CPUBwEff: 0.35, GPUComputeEff: 0.04, GPUBwEff: 0.55,
 		ProgComputeEff: 0.25, ProgBwEff: 0.70, FixedComputeEff: 0.90, FixedBwEff: 0.85,
 	},
-	OpDropout: {
+	{
 		Type: OpDropout, FixedEligible: false, ProgEligible: true, DecomposableFrac: 0,
 		CPUComputeEff: 0.05, CPUBwEff: 0.45, GPUComputeEff: 0.01, GPUBwEff: 0.70,
 		ProgComputeEff: 0.20, ProgBwEff: 0.80, FixedComputeEff: 0, FixedBwEff: 0,
 	},
-	OpAvgPool: {
+	{
 		Type: OpAvgPool, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.90,
 		CPUComputeEff: 0.05, CPUBwEff: 0.45, GPUComputeEff: 0.01, GPUBwEff: 0.70,
 		ProgComputeEff: 0.55, ProgBwEff: 0.80, FixedComputeEff: 0.85, FixedBwEff: 0.88,
 	},
-	OpAvgPoolGrad: {
+	{
 		Type: OpAvgPoolGrad, FixedEligible: true, ProgEligible: true, DecomposableFrac: 0.90,
 		CPUComputeEff: 0.04, CPUBwEff: 0.35, GPUComputeEff: 0.01, GPUBwEff: 0.65,
 		ProgComputeEff: 0.50, ProgBwEff: 0.75, FixedComputeEff: 0.85, FixedBwEff: 0.88,
@@ -305,25 +306,43 @@ func ProgParallelismFor(t OpType) int {
 	}
 }
 
-// ProfileFor returns the behaviour profile of an op type. Unknown types
-// fall back to a conservative programmable-only profile so experimental
-// graphs never crash the simulator.
-func ProfileFor(t OpType) Profile {
-	if p, ok := profiles[t]; ok {
-		return p
+// catalogIndex maps each catalogued type to its catalog slot. Only
+// resolveProfile reads it: once per op at graph build time, and per
+// call for lookups by type alone.
+var catalogIndex = func() map[OpType]int {
+	m := make(map[OpType]int, len(catalog))
+	for i := range catalog {
+		m[catalog[i].Type] = i
 	}
-	return Profile{
+	return m
+}()
+
+// resolveProfile returns the profile of t: a pointer into the catalog
+// for known types, and a fresh conservative programmable-only profile
+// for unknown ones, so experimental graphs never crash the simulator.
+// The returned profile must not be modified.
+func resolveProfile(t OpType) *Profile {
+	if i, ok := catalogIndex[t]; ok {
+		return &catalog[i]
+	}
+	return &Profile{
 		Type: t, ProgEligible: true,
 		CPUComputeEff: 0.05, CPUBwEff: 0.30, GPUComputeEff: 0.01, GPUBwEff: 0.50,
 		ProgComputeEff: 0.15, ProgBwEff: 0.70,
 	}
 }
 
-// KnownOpTypes returns the catalogued op types (for tests and tools).
+// ProfileFor returns the behaviour profile of an op type. Unknown types
+// fall back to a conservative programmable-only profile. Code holding
+// an *Op should call Op.Profile instead, which skips the lookup.
+func ProfileFor(t OpType) Profile { return *resolveProfile(t) }
+
+// KnownOpTypes returns the catalogued op types in catalog order (for
+// tests and tools).
 func KnownOpTypes() []OpType {
-	out := make([]OpType, 0, len(profiles))
-	for t := range profiles {
-		out = append(out, t)
+	out := make([]OpType, len(catalog))
+	for i := range catalog {
+		out[i] = catalog[i].Type
 	}
 	return out
 }

@@ -250,9 +250,22 @@ func TestMetricsHealthReady(t *testing.T) {
 	s, ts := start(t, Options{Workers: 1})
 	post(t, ts.URL, `{"config":"cpu","model":"AlexNet"}`)
 
-	resp, data := get(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics = %s", resp.Status)
+	// The POST returns once the job is queued, so the runner may still be
+	// simulating it: scrape until the pool reads idle, which it must
+	// reach once the job is done.
+	var resp *http.Response
+	var data []byte
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		resp, data = get(t, ts.URL+"/metrics")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics = %s", resp.Status)
+		}
+		idle := strings.Contains(string(data), "heteropim_runner_workers_busy 0") &&
+			strings.Contains(string(data), "heteropim_runner_queue_depth 0")
+		if idle || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	for _, want := range []string{
 		"heteropim_serve_requests 1",

@@ -18,8 +18,8 @@ import (
 // Only typed events snapshot: a KindFunc payload is an opaque closure
 // over live executor state, so copying it into another run would alias
 // that state. Checkpoint refuses them. Typed payloads are plain values
-// plus one pointer operand, which Restore lets the caller remap into
-// the fork's own state (see the remap parameter).
+// whose Idx operand is an index into owner state, so they restore
+// verbatim into a fork that lays its state out the same way.
 //
 // Bit-identity contract: restoring a checkpoint into a fresh engine and
 // draining it executes exactly the events, in exactly the order, at
@@ -48,21 +48,6 @@ func (c Checkpoint) Processed() uint64 { return c.processed }
 // Pending returns how many events were queued at the checkpoint.
 func (c Checkpoint) Pending() int { return len(c.events) }
 
-// Remap returns a copy of the checkpoint with fn applied to every
-// pending payload. The capture side uses this to detach payload Ptr
-// operands from the source run's state (e.g. rewrite task pointers to
-// slab indices) before that state is torn down, so the checkpoint can
-// outlive the run it was taken from.
-func (c Checkpoint) Remap(fn func(Ev) Ev) Checkpoint {
-	out := c
-	out.events = make([]event, len(c.events))
-	copy(out.events, c.events)
-	for i := range out.events {
-		out.events[i].ev = fn(out.events[i].ev)
-	}
-	return out
-}
-
 // Checkpoint snapshots the engine at the current event boundary. It
 // must be called between events (never from inside a Handler whose
 // event is still mutating state — the snapshot cannot see half-applied
@@ -87,13 +72,10 @@ func (e *Engine) Checkpoint() (Checkpoint, error) {
 	return cp, nil
 }
 
-// Restore loads a checkpoint into a fresh (new or Reset) engine. When
-// remap is non-nil it is applied to every restored payload — the fork
-// hook that rewrites Ptr operands from the source run's state into the
-// fork's own (e.g. task-slab index translation). Restore never mutates
-// the checkpoint, so one checkpoint may be restored concurrently into
-// any number of engines.
-func (e *Engine) Restore(cp Checkpoint, remap func(Ev) Ev) error {
+// Restore loads a checkpoint into a fresh (new or Reset) engine.
+// Restore never mutates the checkpoint, so one checkpoint may be
+// restored concurrently into any number of engines.
+func (e *Engine) Restore(cp Checkpoint) error {
 	if e.now != 0 || e.seq != 0 || e.processed != 0 || len(e.events) != 0 {
 		return fmt.Errorf("sim: Restore needs a fresh or Reset engine (now=%.9g, %d pending)",
 			e.now, len(e.events))
@@ -103,11 +85,6 @@ func (e *Engine) Restore(cp Checkpoint, remap func(Ev) Ev) error {
 	e.processed = cp.processed
 	e.MaxEvents = cp.maxEvents
 	e.events = append(e.events[:0], cp.events...)
-	if remap != nil {
-		for i := range e.events {
-			e.events[i].ev = remap(e.events[i].ev)
-		}
-	}
 	return nil
 }
 

@@ -16,19 +16,20 @@ type cpHandler struct {
 type cpEntry struct {
 	kind EventKind
 	n    int32
+	idx  int32
 	at   float64
 }
 
 func (h *cpHandler) HandleEvent(ev Ev) {
-	h.log = append(h.log, cpEntry{kind: ev.Kind, n: ev.N, at: h.eng.Now()})
+	h.log = append(h.log, cpEntry{kind: ev.Kind, n: ev.N, idx: ev.Idx, at: h.eng.Now()})
 	// A little feedback scheduling so the suffix depends on engine state
 	// (sequence tie-breaks, relative delays), not just the initial queue.
 	if ev.Kind == 1 && h.feed < 5 {
 		h.feed++
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 100}); err != nil {
+		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 100, Idx: ev.Idx}); err != nil {
 			panic(err)
 		}
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 200}); err != nil {
+		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 200, Idx: ev.Idx}); err != nil {
 			panic(err)
 		}
 	}
@@ -42,13 +43,13 @@ func seedEngine(t *testing.T, e *Engine, h *cpHandler) {
 	h.eng = e
 	for i := 0; i < 8; i++ {
 		at := float64(i%3) + 0.25
-		if err := e.AtEv(at, Ev{Kind: 1, N: int32(i)}); err != nil {
+		if err := e.AtEv(at, Ev{Kind: 1, N: int32(i), Idx: int32(10 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Ties at t=1.0 exercise sequence-order preservation.
 	for i := 0; i < 4; i++ {
-		if err := e.AtEv(1.0, Ev{Kind: 3, N: int32(i)}); err != nil {
+		if err := e.AtEv(1.0, Ev{Kind: 3, N: int32(i), Idx: int32(10 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +82,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		dstH := &cpHandler{log: append([]cpEntry(nil), srcH.log...), feed: srcH.feed}
 		dst.SetHandler(dstH)
 		dstH.eng = dst
-		if err := dst.Restore(cp, nil); err != nil {
+		if err := dst.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
 		if err := dst.Run(); err != nil {
@@ -121,16 +122,19 @@ func TestRestoreNeedsFreshEngine(t *testing.T) {
 	if err := dirty.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirty.Restore(cp, nil); err == nil {
+	if err := dirty.Restore(cp); err == nil {
 		t.Fatal("expected refusal: engine not fresh")
 	}
 	fresh := New()
-	if err := fresh.Restore(cp, nil); err != nil {
+	if err := fresh.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
+// TestCheckpointConcurrentRestores restores one checkpoint into several
+// engines at once: the checkpoint is never mutated, and every fork
+// replays the same events with the same index operands.
+func TestCheckpointConcurrentRestores(t *testing.T) {
 	src := New()
 	h := &cpHandler{}
 	seedEngine(t, src, h)
@@ -140,11 +144,6 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 	cp, err := src.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Remap returns a detached copy; the original stays untouched.
-	marked := cp.Remap(func(ev Ev) Ev { ev.A = 7; return ev })
-	if marked.Pending() != cp.Pending() {
-		t.Fatal("Remap changed the pending count")
 	}
 
 	var wg sync.WaitGroup
@@ -157,7 +156,7 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 			eh := &cpHandler{feed: h.feed}
 			e.SetHandler(eh)
 			eh.eng = e
-			if err := e.Restore(marked, nil); err != nil {
+			if err := e.Restore(cp); err != nil {
 				panic(err)
 			}
 			if err := e.Run(); err != nil {
@@ -174,5 +173,10 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 	}
 	if len(logs[0]) == 0 {
 		t.Fatal("restored runs executed no events")
+	}
+	for _, en := range logs[0] {
+		if en.idx < 10 || en.idx >= 18 {
+			t.Fatalf("restored event carries index operand %d, want the seeded 10..17", en.idx)
+		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // event is one scheduled entry: a typed payload (event.go) at a time.
-// Legacy closure events are payloads of KindFunc whose Ptr holds the
-// func(); typed events are dispatched through the engine's Handler.
+// Legacy closure events are payloads of KindFunc whose Idx names the
+// func() in the engine's closure slab; typed events are dispatched
+// through the engine's Handler. An event holds no pointers.
 type event struct {
 	at  hw.Seconds
 	seq uint64
@@ -63,7 +64,6 @@ func (h *eventHeap) pop() event {
 	top := a[0]
 	n := len(a) - 1
 	last := a[n]
-	a[n] = event{} // drop the payload's pointer reference for the GC
 	a = a[:n]
 	*h = a
 	if n > 0 {
@@ -109,6 +109,12 @@ type Engine struct {
 	obs Collector
 	// handler dispatches typed (non-KindFunc) events; see event.go.
 	handler Handler
+	// funcs holds the closures of pending KindFunc events, indexed by
+	// their Idx; freeFuncs lists the slots whose closure already ran,
+	// reused before funcs grows, so the slab stays as large as the most
+	// closures ever pending at once.
+	funcs     []func()
+	freeFuncs []int32
 }
 
 // DefaultMaxEvents bounds a single Run; generous for every workload here.
@@ -141,9 +147,27 @@ func (e *Engine) At(t hw.Seconds, fn func()) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
+	var slot int32
+	if n := len(e.freeFuncs); n > 0 {
+		slot = e.freeFuncs[n-1]
+		e.freeFuncs = e.freeFuncs[:n-1]
+		e.funcs[slot] = fn
+	} else {
+		slot = int32(len(e.funcs))
+		e.funcs = append(e.funcs, fn)
+	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, ev: Ev{Kind: KindFunc, Ptr: fn}})
+	e.events.push(event{at: t, seq: e.seq, ev: Ev{Kind: KindFunc, Idx: slot}})
 	return nil
+}
+
+// takeFunc removes and returns the closure in slot, freeing the slot
+// (and the closure, for the GC) before the closure runs.
+func (e *Engine) takeFunc(slot int32) func() {
+	fn := e.funcs[slot]
+	e.funcs[slot] = nil
+	e.freeFuncs = append(e.freeFuncs, slot)
+	return fn
 }
 
 // After schedules fn delay seconds from now.
@@ -171,7 +195,7 @@ func (e *Engine) drain(stopAfter uint64) error {
 		e.now = ev.at
 		e.processed++
 		if ev.ev.Kind == KindFunc {
-			ev.ev.Ptr.(func())()
+			e.takeFunc(ev.ev.Idx)()
 		} else if e.handler != nil {
 			e.handler.HandleEvent(ev.ev)
 		} else {
@@ -185,8 +209,9 @@ func (e *Engine) drain(stopAfter uint64) error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the event heap's backing array, so a
-// recycled engine runs its next simulation without re-growing the heap.
+// default budget) while keeping the event heap's and the closure slab's
+// backing arrays, so a recycled engine runs its next simulation without
+// re-growing them. Closures still pending are dropped for the GC.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -194,10 +219,10 @@ func (e *Engine) Reset() {
 	e.MaxEvents = 0
 	e.obs = nil
 	e.handler = nil
-	for i := range e.events {
-		e.events[i] = event{} // drop payload pointer references for the GC
-	}
 	e.events = e.events[:0]
+	clear(e.funcs)
+	e.funcs = e.funcs[:0]
+	e.freeFuncs = e.freeFuncs[:0]
 }
 
 // enginePool recycles engines (and their grown heap arrays) across

@@ -13,23 +13,25 @@ import (
 // event heap's own slab: scheduling one touches no allocator at all.
 //
 // The payload is deliberately generic — a kind tag plus a handful of
-// scalar operands and one pointer slot — so internal/sim stays free of
+// scalar operands and one index operand — so internal/sim stays free of
 // executor types. The executor defines its own EventKind values and
 // implements Handler; the engine routes every non-closure event there.
+// The payload holds no pointers, so the heap's sifts move plain memory:
+// no GC write barriers, and an event fits one 64-byte cache line.
 
 // EventKind discriminates typed events. Kind zero is reserved for the
-// legacy closure path (Ptr holds the func()).
+// legacy closure path (Idx names the engine-side closure slot).
 type EventKind uint8
 
-// KindFunc marks a legacy closure event: Ptr holds a func() invoked
-// directly by the engine. At/After produce these; hot paths use AtEv.
+// KindFunc marks a legacy closure event: Idx is the slot of its func()
+// in the engine's closure slab, invoked directly by the engine. At/After
+// produce these; hot paths use AtEv.
 const KindFunc EventKind = 0
 
 // Ev is one typed event payload. Field meaning is owner-defined per
-// Kind; the struct is sized so the common cases (a task pointer, a
-// device index, a few work scalars, a recorded start time) fit without
-// any side allocation. Storing a pointer-shaped value (e.g. *task) in
-// Ptr does not allocate.
+// Kind; the struct is sized so the common cases (a task index, a device
+// index, a few work scalars, a recorded start time) fit without any
+// side allocation.
 type Ev struct {
 	Kind EventKind
 	// A is a small operand (e.g. a device index).
@@ -38,12 +40,16 @@ type Ev struct {
 	Flag bool
 	// N is an integer operand (e.g. slots or granted units).
 	N int32
+	// Idx is the index operand: the owner's handle on the event's
+	// subject (e.g. a task-slab index), or the closure slot of KindFunc.
+	// Being an index rather than a pointer, it stays valid across a
+	// Checkpoint/Restore into another engine whose owner lays its state
+	// out the same way.
+	Idx int32
 	// F1..F3 are scalar operands (e.g. chunk flops/bytes, a sync cost).
 	F1, F2, F3 float64
 	// Start is a recorded timestamp operand (e.g. a span's start).
 	Start hw.Seconds
-	// Ptr is the pointer operand (a *task, or the func() of KindFunc).
-	Ptr any
 }
 
 // Handler dispatches typed events. The engine calls it synchronously

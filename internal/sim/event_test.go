@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"heteropim/internal/hw"
 )
@@ -85,18 +87,18 @@ func TestResetDetachesHandler(t *testing.T) {
 type chainHandler struct {
 	eng  *Engine
 	left int
-	task *int // pointer payload, checks Ptr round-trips without boxing
+	idx  int32 // index operand, checks Idx round-trips
 }
 
 func (h *chainHandler) HandleEvent(ev Ev) {
-	if ev.Ptr != h.task {
-		panic("payload pointer lost")
+	if ev.Idx != h.idx {
+		panic("payload index operand lost")
 	}
 	if h.left == 0 {
 		return
 	}
 	h.left--
-	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Ptr: h.task}); err != nil {
+	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Idx: h.idx}); err != nil {
 		panic(err)
 	}
 }
@@ -104,21 +106,21 @@ func (h *chainHandler) HandleEvent(ev Ev) {
 // TestTypedEventSchedulingAllocsFree pins the tentpole property at the
 // engine level: once the heap slab has grown, scheduling and
 // dispatching typed events performs ZERO heap allocations — no closure,
-// no boxing of the payload or its pointer operand.
+// no boxing of the payload.
 func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 	e := New()
-	tk := new(int)
+	const tk = 41
 	run := func() {
 		h := e.handler.(*chainHandler)
 		h.left = 500
-		if err := e.AtEv(e.Now()+1e-3, Ev{Kind: 1, Ptr: tk}); err != nil {
+		if err := e.AtEv(e.Now()+1e-3, Ev{Kind: 1, Idx: tk}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.SetHandler(&chainHandler{eng: e, task: tk})
+	e.SetHandler(&chainHandler{eng: e, idx: tk})
 	run() // grow the heap slab
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("typed event scheduling allocates %.2f objects per 500-event run, want 0", allocs)
@@ -150,5 +152,57 @@ func TestClosureEventsStillWork(t *testing.T) {
 	}
 	if e.Now() != hw.Seconds(99e-3) && e.Now() <= 0 {
 		t.Fatalf("clock did not advance: %v", e.Now())
+	}
+	// A chain keeps one closure pending at a time, so its slot is reused
+	// instead of growing the slab per event.
+	if len(e.funcs) != 1 {
+		t.Fatalf("closure slab holds %d slots after a 100-event chain, want 1", len(e.funcs))
+	}
+}
+
+// TestClosureSlotsReleased checks the closure slab's lifecycle: fan-out
+// closures each get a slot, a run frees every slot (dropping the
+// closures), and Reset empties the slab while keeping its capacity.
+func TestClosureSlotsReleased(t *testing.T) {
+	e := New()
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		if err := e.At(float64(5-i), func() { order = append(order, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.funcs) != 5 {
+		t.Fatalf("%d closure slots for 5 pending closures", len(e.funcs))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 3, 2, 1, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("closures ran in order %v, want %v", order, want)
+	}
+	for i, fn := range e.funcs {
+		if fn != nil {
+			t.Fatalf("slot %d still holds its closure after it ran", i)
+		}
+	}
+	if len(e.freeFuncs) != 5 {
+		t.Fatalf("%d free slots after the run, want 5", len(e.freeFuncs))
+	}
+	if err := e.At(e.Now()+1, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	if len(e.funcs) != 0 || len(e.freeFuncs) != 0 || cap(e.funcs) < 5 {
+		t.Fatalf("Reset left %d slots, %d free (cap %d)", len(e.funcs), len(e.freeFuncs), cap(e.funcs))
+	}
+}
+
+// TestEventFitsCacheLine pins the size of a heap entry: with an index
+// operand instead of a pointer slot, an event is pointer-free and one
+// 64-byte cache line, so heap sifts copy plain memory.
+func TestEventFitsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Fatalf("event is %d bytes, want <= 64", n)
 	}
 }
