@@ -139,14 +139,25 @@ func opFloor(op *nn.Op, cfg hw.SystemConfig) hw.Seconds {
 }
 
 // criticalPath is the longest Inputs-edge chain of opFloor durations.
+// Graphs from nn.Build list every op after its inputs, so ID order is
+// already topological and needs no sort; any other graph goes through
+// TopoOrder. Each op's chain length is a max over the same inputs in
+// either order, so both walks give the same bits.
 func criticalPath(g *nn.Graph, cfg hw.SystemConfig) hw.Seconds {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0 // cyclic graph: RunPIM will fail anyway; 0 is admissible
+	var order []int // nil: walk in ID order
+	if !inputsPrecede(g) {
+		var err error
+		if order, err = g.TopoOrder(); err != nil {
+			return 0 // cyclic graph: RunPIM will fail anyway; 0 is admissible
+		}
 	}
 	dist := make([]hw.Seconds, len(g.Ops))
 	var cp hw.Seconds
-	for _, id := range order {
+	for k := range g.Ops {
+		id := k
+		if order != nil {
+			id = order[k]
+		}
 		op := g.Ops[id]
 		var in hw.Seconds
 		for _, dep := range op.Inputs {
@@ -160,4 +171,17 @@ func criticalPath(g *nn.Graph, cfg hw.SystemConfig) hw.Seconds {
 		}
 	}
 	return cp
+}
+
+// inputsPrecede reports whether every op's inputs have smaller IDs than
+// the op, which makes ID order a topological order.
+func inputsPrecede(g *nn.Graph) bool {
+	for id, op := range g.Ops {
+		for _, in := range op.Inputs {
+			if in >= id {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -11,6 +11,7 @@ import (
 	"heteropim/internal/core"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
+	"heteropim/internal/runner"
 )
 
 // Candidate is one point of the hardware design space: a fixed-function
@@ -172,16 +173,20 @@ func (m *deltaManager) group(key string) *deltaGroup {
 // replay its suffix. Every failure mode degrades to a plain full
 // simulation — replays are a pure optimization, bit-identical when they
 // apply (core/checkpoint_test.go).
-func (m *deltaManager) run(model nn.ModelName, c Candidate) (core.Result, error) {
-	cg, err := nn.Build(model)
-	if err != nil {
-		return core.Result{}, err
-	}
-	cfg := c.Config()
+//
+// Replays never read the graph, so only the group's probe and the
+// fallback build one; a build error fails the probe and then surfaces
+// from the fallback as the candidate's error.
+func (m *deltaManager) run(model nn.ModelName, c Candidate, cfg hw.SystemConfig) (core.Result, error) {
 	opts := core.HeteroOptions()
 	e := m.group(calKey(c))
 	e.once.Do(func() {
 		e.baseUnits = c.Units
+		cg, err := nn.Build(model)
+		if err != nil {
+			e.err = err
+			return
+		}
 		if m.deep {
 			e.plan, e.base, e.err = core.NewDeltaPlan(cg, cfg, opts)
 			if e.err == nil && e.plan != nil {
@@ -210,6 +215,10 @@ func (m *deltaManager) run(model nn.ModelName, c Candidate) (core.Result, error)
 			m.shared.Add(e.cp.SharedEvents())
 			return res, nil
 		}
+	}
+	cg, err := nn.Build(model)
+	if err != nil {
+		return core.Result{}, err
 	}
 	return core.RunPIM(cg, cfg, opts)
 }
@@ -267,9 +276,29 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	r := Registry()
 	r.Add("dse.candidates", float64(len(cands)))
 
-	ex := Exploration{Evals: make([]Explored, len(cands))}
+	// Set-up on the worker pool: every candidate's bound and, for the
+	// surrogate, its result-cache peek. Results land by index, so
+	// everything downstream sees them in input order.
+	cfgs := make([]hw.SystemConfig, len(cands))
 	for i, c := range cands {
-		ex.Evals[i] = Explored{Candidate: c, Bound: StepTimeLowerBound(g, c.Config(), opts)}
+		cfgs[i] = c.Config()
+	}
+	ex := Exploration{Evals: make([]Explored, len(cands))}
+	var peekStep []hw.Seconds
+	var peekHit []bool
+	if dopts.Surrogate {
+		peekStep = make([]hw.Seconds, len(cands))
+		peekHit = make([]bool, len(cands))
+	}
+	if err := runner.ForEach(ctx, len(cands), 0, func(_ context.Context, i int) error {
+		ex.Evals[i] = Explored{Candidate: cands[i], Bound: StepTimeLowerBound(g, cfgs[i], opts)}
+		if dopts.Surrogate {
+			res, ok := core.PeekPIMResult(g, cfgs[i], opts)
+			peekStep[i], peekHit[i] = res.StepTime, ok
+		}
+		return nil
+	}); err != nil {
+		return Exploration{}, err
 	}
 	// Group references for the calibrated bound: the LARGEST unit budget
 	// of each (FreqScale, ProgProcessors) group (ties to the earliest
@@ -313,9 +342,9 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	// incumbent — cached cells still count as simulations when reached.
 	sur := &surrogate{}
 	if dopts.Surrogate {
-		for i, c := range cands {
-			if res, ok := core.PeekPIMResult(g, c.Config(), opts); ok {
-				sur.add(cands[i], res.StepTime)
+		for i, hit := range peekHit {
+			if hit {
+				sur.add(cands[i], peekStep[i])
 				ex.SeededFromCache++
 			}
 		}
@@ -407,14 +436,14 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 		}
 		cells := make([]Cell[core.Result], len(block))
 		for k, idx := range block {
-			c := cands[idx]
+			c, cfg := cands[idx], cfgs[idx]
 			grp := group
 			if !firstBlock {
 				grp = "" // caches are warm; skip the leader phase
 			}
 			cells[k] = Cell[core.Result]{Group: grp, Run: func(ctx context.Context) (core.Result, error) {
 				if mgr != nil {
-					return mgr.run(model, c)
+					return mgr.run(model, c, cfg)
 				}
 				// Each cell builds its own graph: cells must be
 				// independent, and the result cache is content-keyed so
@@ -423,7 +452,7 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 				if err != nil {
 					return core.Result{}, err
 				}
-				return core.RunPIM(cg, c.Config(), opts)
+				return core.RunPIM(cg, cfg, opts)
 			}}
 		}
 		results, err := Eval(ctx, cells)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"heteropim/internal/hw"
@@ -21,7 +20,7 @@ import (
 
 // profileKey identifies one profiling input. Graphs are rebuilt per
 // experiment cell, so identity is by content: the model name, batch
-// size, op count and a 64-bit FNV-1a digest of every descriptor field
+// size, op count and a 64-bit digest (hash.go) of every descriptor field
 // the profiler reads (op type, flop counts, bytes). Synthetic graphs
 // (combined co-run steps, scaled or replayed traces) hash to their own
 // keys and simply occupy extra entries.
@@ -41,42 +40,18 @@ type profileEntry struct {
 
 var profileCache sync.Map // profileKey -> *profileEntry
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func fnvMixFloat(h uint64, f float64) uint64 { return fnvMix(h, math.Float64bits(f)) }
-
-func fnvMixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
 // graphDigest hashes the descriptor fields ProfileStep depends on.
 func graphDigest(g *nn.Graph) uint64 {
-	h := uint64(fnvOffset)
+	h := newFpHash()
 	for _, op := range g.Ops {
-		h = fnvMix(h, uint64(op.ID))
-		h = fnvMixString(h, string(op.Type))
-		h = fnvMixFloat(h, op.Muls)
-		h = fnvMixFloat(h, op.Adds)
-		h = fnvMixFloat(h, op.OtherFlops)
-		h = fnvMixFloat(h, op.Bytes)
+		h.i(op.ID)
+		h.str(string(op.Type))
+		h.f(op.Muls)
+		h.f(op.Adds)
+		h.f(op.OtherFlops)
+		h.f(op.Bytes)
 	}
-	return h
+	return h.sum64()
 }
 
 // CachedProfileStep returns the memoized step profile for (g, cpu),

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,43 +46,6 @@ type Fingerprint struct{ Hi, Lo uint64 }
 
 // String renders the fingerprint as 32 hex digits (the disk file name).
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
-
-// fpHash is a two-lane FNV-1a accumulator; the lanes mix the same input
-// stream with different seeds and a per-word permutation, which is
-// plenty of independence for a 128-bit cache address.
-type fpHash struct{ hi, lo uint64 }
-
-func newFpHash() fpHash {
-	return fpHash{hi: fnvOffset, lo: fnvOffset ^ 0x9e3779b97f4a7c15}
-}
-
-func (h *fpHash) u64(v uint64) {
-	h.hi = fnvMix(h.hi, v)
-	h.lo = fnvMix(h.lo, v*0x9e3779b97f4a7c15+1)
-}
-
-func (h *fpHash) i(v int)     { h.u64(uint64(int64(v))) }
-func (h *fpHash) f(v float64) { h.u64(math.Float64bits(v)) }
-func (h *fpHash) b(v bool) {
-	if v {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-func (h *fpHash) str(s string) {
-	h.i(len(s))
-	h.hi = fnvMixString(h.hi, s)
-	h.lo = fnvMixString(h.lo, s)
-}
-func (h *fpHash) bytes(b []byte) {
-	h.i(len(b))
-	for _, c := range b {
-		h.u64(uint64(c))
-	}
-}
-
-func (h *fpHash) sum() Fingerprint { return Fingerprint{Hi: h.hi, Lo: h.lo} }
 
 // resultCacheUsable reports whether a RunPIM call may go through the
 // cache: the cache must be enabled and the run uninstrumented.
@@ -366,13 +328,16 @@ func PeekPIMResult(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, bool
 
 // resultSchemaVersion bumps manually for semantic changes the Result
 // type shape does not capture (e.g. a reinterpretation of a field).
-const resultSchemaVersion = "1"
+const resultSchemaVersion = "2"
 
 // resultSchemaHash versions the disk tier: the manual version plus a
 // reflected signature of the Result type, so adding, removing, renaming
 // or retyping any (nested) field moves the tier to a fresh directory.
-var resultSchemaHash = fmt.Sprintf("%016x",
-	fnvMixString(fnvOffset, resultSchemaVersion+":"+typeSig(reflect.TypeOf(Result{}), 0)))
+var resultSchemaHash = func() string {
+	h := newFpHash()
+	h.str(resultSchemaVersion + ":" + typeSig(reflect.TypeOf(Result{}), 0))
+	return fmt.Sprintf("%016x", h.sum64())
+}()
 
 // typeSig renders a type's structural signature.
 func typeSig(t reflect.Type, depth int) string {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"heteropim/internal/hw"
@@ -255,5 +256,134 @@ func TestSharedCacheUnderParallelRunner(t *testing.T) {
 	}
 	if st := ResultCacheStats(); st.Misses != 1 || st.Hits != n-1 {
 		t.Errorf("stats %+v, want 1 miss and %d hits", st, n-1)
+	}
+}
+
+// perturb changes one hashed input in place; an unsupported kind fails
+// the test, so a new field type gets a perturbation before it can slip
+// through unhashed.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(reflect.ValueOf(0), reflect.ValueOf(true))
+		v.Set(m)
+	default:
+		t.Fatalf("%s: no perturbation for kind %s", name, v.Kind())
+	}
+}
+
+// cloneGraph deep-copies a graph's hashed content.
+func cloneGraph(g *nn.Graph) *nn.Graph {
+	c := *g
+	c.Ops = make([]*nn.Op, len(g.Ops))
+	for i, op := range g.Ops {
+		o := *op
+		o.Inputs = append([]int(nil), op.Inputs...)
+		o.CrossStep = append([]int(nil), op.CrossStep...)
+		c.Ops[i] = &o
+	}
+	return &c
+}
+
+// TestFingerprintSensitivity checks that every input the executors read
+// moves the result-cache address: a SystemConfig field, every hashed
+// Options field, every graph-level field and every op field. Rebuilt
+// graphs must share an address, and string boundaries must count.
+func TestFingerprintSensitivity(t *testing.T) {
+	build := func() *nn.Graph {
+		g, err := nn.Build(nn.ResNet50Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := build()
+	cfg := hw.PaperConfig(hw.ConfigHeteroPIM)
+	opts := HeteroOptions().withDefaults()
+	base := fingerprintRun("pim", g, cfg, opts, nil)
+	if fingerprintRun("pim", build(), cfg, opts, nil) != base {
+		t.Fatal("two builds of one model fingerprint differently")
+	}
+	moved := func(what string, fp Fingerprint) {
+		t.Helper()
+		if fp == base {
+			t.Errorf("perturbing %s leaves the fingerprint unchanged", what)
+		}
+	}
+
+	cfg2 := cfg
+	cfg2.FixedPIM.Units++
+	moved("SystemConfig.FixedPIM.Units", fingerprintRun("pim", g, cfg2, opts, nil))
+	moved("mode", fingerprintRun("cpu", g, cfg, opts, nil))
+	moved("extra", fingerprintRun("pim", g, cfg, opts, []byte{0}))
+
+	// Instrumentation fields bypass the cache (resultCacheUsable), so
+	// they are the only Options fields the address may ignore.
+	instrumentation := map[string]bool{"Trace": true, "Census": true, "Collector": true}
+	ot := reflect.TypeOf(opts)
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		if instrumentation[name] {
+			continue
+		}
+		o := opts
+		perturb(t, "Options."+name, reflect.ValueOf(&o).Elem().Field(i))
+		moved("Options."+name, fingerprintRun("pim", g, cfg, o, nil))
+	}
+
+	gt := reflect.TypeOf(*g)
+	for i := 0; i < gt.NumField(); i++ {
+		name := gt.Field(i).Name
+		if name == "Ops" {
+			continue
+		}
+		c := cloneGraph(g)
+		perturb(t, "Graph."+name, reflect.ValueOf(c).Elem().Field(i))
+		moved("Graph."+name, fingerprintRun("pim", c, cfg, opts, nil))
+	}
+	c := cloneGraph(g)
+	c.Ops = c.Ops[:len(c.Ops)-1]
+	moved("the op count", fingerprintRun("pim", c, cfg, opts, nil))
+
+	// Op fields, perturbed on an op with inputs in the middle of the
+	// graph. ID is positional and prof derives from Type.
+	mid := len(g.Ops) / 2
+	for len(g.Ops[mid].Inputs) == 0 {
+		mid++
+	}
+	opt := reflect.TypeOf(nn.Op{})
+	for i := 0; i < opt.NumField(); i++ {
+		f := opt.Field(i)
+		if !f.IsExported() || f.Name == "ID" {
+			continue
+		}
+		c := cloneGraph(g)
+		perturb(t, "Op."+f.Name, reflect.ValueOf(c.Ops[mid]).Elem().Field(i))
+		moved("Op."+f.Name, fingerprintRun("pim", c, cfg, opts, nil))
+	}
+	c = cloneGraph(g)
+	c.Ops[mid].Inputs[0]++
+	moved("an op input's value", fingerprintRun("pim", c, cfg, opts, nil))
+
+	// Length prefixes keep adjacent strings apart.
+	pair := func(a, b string) Fingerprint {
+		c := cloneGraph(g)
+		c.Ops[0].Name, c.Ops[1].Name = a, b
+		return fingerprintRun("pim", c, cfg, opts, nil)
+	}
+	if pair("ab", "c") == pair("a", "bc") {
+		t.Error(`op names "ab"+"c" and "a"+"bc" share a fingerprint`)
 	}
 }

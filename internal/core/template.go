@@ -24,8 +24,8 @@ import (
 // invariant the core tests assert.
 
 // templateKey identifies one task-graph shape. Structure is keyed by
-// content (like the profile cache): model/batch/op-count plus an FNV-1a
-// digest of the dependency lists, so rebuilt and synthetic graphs with
+// content (like the profile cache): model/batch/op-count plus a 64-bit
+// digest (hash.go) of the dependency lists, so rebuilt and synthetic graphs with
 // identical structure share one template.
 type templateKey struct {
 	model  string
@@ -38,18 +38,18 @@ type templateKey struct {
 
 // structDigest hashes the graph fields that determine task-DAG shape.
 func structDigest(g *nn.Graph) uint64 {
-	h := uint64(fnvOffset)
+	h := newFpHash()
 	for _, op := range g.Ops {
-		h = fnvMix(h, uint64(len(op.Inputs)))
+		h.i(len(op.Inputs))
 		for _, in := range op.Inputs {
-			h = fnvMix(h, uint64(in))
+			h.i(in)
 		}
-		h = fnvMix(h, uint64(len(op.CrossStep)))
+		h.i(len(op.CrossStep))
 		for _, cs := range op.CrossStep {
-			h = fnvMix(h, uint64(cs))
+			h.i(cs)
 		}
 	}
-	return h
+	return h.sum64()
 }
 
 // taskTemplate is the immutable per-(structure, steps, OP) blueprint:

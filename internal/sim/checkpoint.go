@@ -24,19 +24,25 @@ import (
 // Bit-identity contract: restoring a checkpoint into a fresh engine and
 // draining it executes exactly the events, in exactly the order, at
 // exactly the times the source engine would have executed had it kept
-// running — the heap slab is copied verbatim (heap layout preserved)
-// and the sequence counter continues from the snapshot, so later
-// schedules tie-break identically. checkpoint_test.go pins this.
+// running — the heap's keys are copied in heap layout with their slots
+// renumbered over the compacted payloads, and the sequence counter
+// continues from the snapshot, so later schedules tie-break
+// identically. checkpoint_test.go pins this.
 
 // Checkpoint is a frozen engine state. It is immutable once taken and
-// safe to share: every Restore copies the slab into the target engine,
-// so concurrent forks of one checkpoint never alias event storage.
+// safe to share: every Restore copies the keys and payloads into the
+// target engine, so concurrent forks of one checkpoint never alias
+// event storage.
 type Checkpoint struct {
 	now       hw.Seconds
 	seq       uint64
 	processed uint64
 	maxEvents uint64
-	events    []event
+	// keys is the heap in its layout; key i's slot indexes payloads,
+	// which holds only the pending events' payloads, in the source
+	// engine's slot order.
+	keys     []key
+	payloads []Ev
 }
 
 // Now returns the simulated time the checkpoint was taken at.
@@ -46,7 +52,7 @@ func (c Checkpoint) Now() hw.Seconds { return c.now }
 func (c Checkpoint) Processed() uint64 { return c.processed }
 
 // Pending returns how many events were queued at the checkpoint.
-func (c Checkpoint) Pending() int { return len(c.events) }
+func (c Checkpoint) Pending() int { return len(c.keys) }
 
 // Checkpoint snapshots the engine at the current event boundary. It
 // must be called between events (never from inside a Handler whose
@@ -54,21 +60,39 @@ func (c Checkpoint) Pending() int { return len(c.events) }
 // mutations, only the engine's own queue). It fails if any pending
 // event is a KindFunc closure.
 func (e *Engine) Checkpoint() (Checkpoint, error) {
-	for i := range e.events {
-		if e.events[i].ev.Kind == KindFunc {
+	// Mark the live slots, then number them in slot order: the
+	// checkpoint's payloads are the slab with its free slots squeezed
+	// out.
+	remap := make([]int32, len(e.payloads))
+	for i := range remap {
+		remap[i] = -1
+	}
+	for _, k := range e.events {
+		if e.payloads[k.slot].Kind == KindFunc {
 			return Checkpoint{}, fmt.Errorf(
 				"sim: cannot checkpoint: pending closure (KindFunc) event at t=%.9g; only typed events snapshot",
-				e.events[i].at)
+				k.at)
 		}
+		remap[k.slot] = 0
 	}
 	cp := Checkpoint{
 		now:       e.now,
 		seq:       e.seq,
 		processed: e.processed,
 		maxEvents: e.MaxEvents,
-		events:    make([]event, len(e.events)),
+		keys:      make([]key, len(e.events)),
+		payloads:  make([]Ev, 0, len(e.events)),
 	}
-	copy(cp.events, e.events)
+	for slot, live := range remap {
+		if live == 0 {
+			remap[slot] = int32(len(cp.payloads))
+			cp.payloads = append(cp.payloads, e.payloads[slot])
+		}
+	}
+	for i, k := range e.events {
+		k.slot = remap[k.slot]
+		cp.keys[i] = k
+	}
 	return cp, nil
 }
 
@@ -84,7 +108,9 @@ func (e *Engine) Restore(cp Checkpoint) error {
 	e.seq = cp.seq
 	e.processed = cp.processed
 	e.MaxEvents = cp.maxEvents
-	e.events = append(e.events[:0], cp.events...)
+	e.events = append(e.events[:0], cp.keys...)
+	e.payloads = append(e.payloads[:0], cp.payloads...)
+	e.freeSlots = e.freeSlots[:0]
 	return nil
 }
 

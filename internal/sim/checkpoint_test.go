@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -178,5 +180,182 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 		if en.idx < 10 || en.idx >= 18 {
 			t.Fatalf("restored event carries index operand %d, want the seeded 10..17", en.idx)
 		}
+	}
+}
+
+// slabHarness drives one engine through a scripted mix of typed events,
+// closures and partial runs, logging dispatch order by event id and
+// mirroring the engine's sequence counter so the test can build the
+// (time, seq) reference order independently of the heap.
+type slabHarness struct {
+	t          *testing.T
+	eng        *Engine
+	log        []int32
+	ref        []slabRef
+	nextID     int32
+	seq        uint64
+	closures   int // closures scheduled and not yet run
+	maxPending int
+}
+
+type slabRef struct {
+	at  float64
+	seq uint64
+	id  int32
+}
+
+func (h *slabHarness) note(at float64) int32 {
+	id := h.nextID
+	h.nextID++
+	h.seq++
+	h.ref = append(h.ref, slabRef{at: at, seq: h.seq, id: id})
+	return id
+}
+
+func (h *slabHarness) typed(at float64) {
+	id := h.note(at)
+	if err := h.eng.AtEv(at, Ev{Kind: 1, N: id, Idx: -id}); err != nil {
+		h.t.Fatal(err)
+	}
+	h.maxPending = max(h.maxPending, h.eng.Pending())
+}
+
+func (h *slabHarness) closure(at float64) {
+	id := h.note(at)
+	h.closures++
+	if err := h.eng.At(at, func() { h.log = append(h.log, id); h.closures-- }); err != nil {
+		h.t.Fatal(err)
+	}
+	h.maxPending = max(h.maxPending, h.eng.Pending())
+}
+
+// HandleEvent logs the event and, for every third id, schedules a
+// follow-up at a quarter-step multiple of now, so dispatch frees and
+// immediately reuses slots and produces same-time ties.
+func (h *slabHarness) HandleEvent(ev Ev) {
+	if ev.Idx != -ev.N {
+		h.t.Fatalf("event %d: Idx operand %d corrupted in the slab", ev.N, ev.Idx)
+	}
+	h.log = append(h.log, ev.N)
+	if ev.N%3 == 0 {
+		h.typed(h.eng.Now() + float64(ev.N%4)*0.25)
+	}
+}
+
+// slabOp is one scripted step: kind 0 schedules a typed event, 1 a
+// closure, 2 runs n more events; d is the delay in quarter steps.
+type slabOp struct{ kind, d, n int }
+
+func (h *slabHarness) apply(op slabOp) {
+	at := h.eng.Now() + float64(op.d)*0.25
+	switch op.kind {
+	case 0:
+		h.typed(at)
+	case 1:
+		h.closure(at)
+	default:
+		if err := h.eng.RunUntil(h.eng.Processed() + uint64(op.n)); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+}
+
+// TestSlabRandomizedOrderAndFork interleaves AtEv, At and RunUntil with
+// same-time ties and heavy slot reuse, checks the dispatch order against
+// a (time, seq)-sorted reference, and forks the run mid-way into a Reset
+// engine whose slab was fragmented by an earlier run: the fork's
+// dispatch suffix must equal the original's.
+func TestSlabRandomizedOrderAndFork(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	script := make([]slabOp, 4000)
+	for i := range script {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			script[i] = slabOp{kind: 0, d: rng.Intn(4)}
+		case r < 6:
+			script[i] = slabOp{kind: 1, d: rng.Intn(3)}
+		default:
+			script[i] = slabOp{kind: 2, n: 1 + rng.Intn(5)}
+		}
+	}
+
+	orig := &slabHarness{t: t, eng: New()}
+	orig.eng.SetHandler(orig)
+	var (
+		fork   *slabHarness
+		forkAt = -1 // script index after which the checkpoint was taken
+		split  int  // len(orig.log) at the checkpoint
+	)
+	for i, op := range script {
+		orig.apply(op)
+		if fork == nil && i >= len(script)/2 && orig.closures == 0 && orig.eng.Pending() > 2 {
+			cp, err := orig.eng.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fragment a second engine's slab (free slots below live
+			// ones), then Reset it and restore the checkpoint there.
+			eng := New()
+			frag := &slabHarness{t: t, eng: eng}
+			eng.SetHandler(frag)
+			for j := 0; j < 64; j++ {
+				frag.typed(float64(j % 7))
+			}
+			if err := eng.RunUntil(40); err != nil {
+				t.Fatal(err)
+			}
+			if len(eng.freeSlots) == 0 || eng.Pending() == 0 {
+				t.Fatal("second engine's slab is not fragmented")
+			}
+			eng.Reset()
+			if err := eng.Restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			fork = &slabHarness{t: t, eng: eng, nextID: orig.nextID, seq: orig.seq}
+			eng.SetHandler(fork)
+			forkAt, split = i, len(orig.log)
+		}
+		if fork != nil && i > forkAt {
+			fork.apply(op)
+		}
+	}
+	if fork == nil {
+		t.Fatal("the script never reached a closure-free checkpoint point")
+	}
+	for _, h := range []*slabHarness{orig, fork} {
+		if err := h.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref := append([]slabRef(nil), orig.ref...)
+	sort.Slice(ref, func(a, b int) bool {
+		if ref[a].at != ref[b].at {
+			return ref[a].at < ref[b].at
+		}
+		return ref[a].seq < ref[b].seq
+	})
+	want := make([]int32, len(ref))
+	for i, r := range ref {
+		want[i] = r.id
+	}
+	if !reflect.DeepEqual(orig.log, want) {
+		t.Fatalf("dispatch order diverges from the (time, seq) reference over %d events", len(want))
+	}
+	if !reflect.DeepEqual(fork.log, orig.log[split:]) {
+		t.Fatalf("fork dispatched %d events, diverging from the original's %d-event suffix",
+			len(fork.log), len(orig.log)-split)
+	}
+	if fork.eng.Now() != orig.eng.Now() || fork.eng.Processed() != orig.eng.Processed() {
+		t.Fatal("fork ended at a different time or event count")
+	}
+	// Slots are freed before dispatch and reused first, so the slab is
+	// exactly as large as the most events ever pending at once.
+	if len(orig.eng.payloads) != orig.maxPending {
+		t.Fatalf("slab has %d slots, want the peak pending count %d", len(orig.eng.payloads), orig.maxPending)
+	}
+	if len(want) < 10*len(orig.eng.payloads) {
+		t.Fatalf("%d events over %d slots: too little slot reuse to exercise the free list",
+			len(want), len(orig.eng.payloads))
 	}
 }

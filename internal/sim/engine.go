@@ -13,53 +13,50 @@ import (
 	"heteropim/internal/hw"
 )
 
-// event is one scheduled entry: a typed payload (event.go) at a time.
-// Legacy closure events are payloads of KindFunc whose Idx names the
-// func() in the engine's closure slab; typed events are dispatched
-// through the engine's Handler. An event holds no pointers.
-type event struct {
-	at  hw.Seconds
-	seq uint64
-	ev  Ev
+// key is one heap entry: the event's time, its insertion sequence and
+// the payload-slab slot holding its Ev (event.go). Keys are 24 bytes and
+// hold no pointers, so the heap's sifts move three words per level,
+// while each payload is written once when scheduled and read once when
+// dispatched.
+type key struct {
+	at   hw.Seconds
+	seq  uint64
+	slot int32
 }
 
 // before is the heap order: time first, insertion sequence as the tie
 // break, which is what makes same-time events run in schedule order.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// eventHeap is a typed 4-ary implicit heap. The previous container/heap
-// implementation boxed every event through `any` on Push/Pop (one heap
-// allocation per scheduled event) and dispatched Len/Less/Swap through
-// an interface; the typed heap does neither. A 4-ary layout halves the
-// tree depth of the binary heap, trading slightly more sibling
-// comparisons per level for fewer cache-missing levels — the right
-// trade for the tens of thousands of events a steady-state run pushes.
-// Children of node i live at 4i+1..4i+4; the parent of i is (i-1)/4.
-type eventHeap []event
+// keyHeap is a typed 4-ary implicit min-heap of keys. A 4-ary layout
+// halves the tree depth of a binary heap, trading slightly more sibling
+// comparisons per level for fewer cache-missing levels. Children of node
+// i live at 4i+1..4i+4; the parent of i is (i-1)/4.
+type keyHeap []key
 
-// push inserts ev, sifting it up to its heap position.
-func (h *eventHeap) push(ev event) {
-	a := append(*h, ev)
+// push inserts k, sifting it up to its heap position.
+func (h *keyHeap) push(k key) {
+	a := append(*h, k)
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !ev.before(a[p]) {
+		if !k.before(a[p]) {
 			break
 		}
 		a[i] = a[p]
 		i = p
 	}
-	a[i] = ev
+	a[i] = k
 	*h = a
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
+// pop removes and returns the minimum key.
+func (h *keyHeap) pop() key {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
@@ -99,7 +96,13 @@ func (h *eventHeap) pop() event {
 type Engine struct {
 	now    hw.Seconds
 	seq    uint64
-	events eventHeap
+	events keyHeap
+	// payloads is the slab the keys' slots index; freeSlots lists the
+	// slots whose event already dispatched, reused before payloads
+	// grows, so the slab stays as large as the most events ever pending
+	// at once.
+	payloads  []Ev
+	freeSlots []int32
 	// processed counts executed events (for runaway detection).
 	processed uint64
 	// MaxEvents guards against schedule loops; 0 means the default.
@@ -110,11 +113,9 @@ type Engine struct {
 	// handler dispatches typed (non-KindFunc) events; see event.go.
 	handler Handler
 	// funcs holds the closures of pending KindFunc events, indexed by
-	// their Idx; freeFuncs lists the slots whose closure already ran,
-	// reused before funcs grows, so the slab stays as large as the most
-	// closures ever pending at once.
-	funcs     []func()
-	freeFuncs []int32
+	// their payload slot; it grows only to the highest slot a closure
+	// has used.
+	funcs []func()
 }
 
 // DefaultMaxEvents bounds a single Run; generous for every workload here.
@@ -147,27 +148,29 @@ func (e *Engine) At(t hw.Seconds, fn func()) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
-	var slot int32
-	if n := len(e.freeFuncs); n > 0 {
-		slot = e.freeFuncs[n-1]
-		e.freeFuncs = e.freeFuncs[:n-1]
-		e.funcs[slot] = fn
-	} else {
-		slot = int32(len(e.funcs))
-		e.funcs = append(e.funcs, fn)
+	slot := e.schedule(t, Ev{Kind: KindFunc})
+	for int(slot) >= len(e.funcs) {
+		e.funcs = append(e.funcs, nil)
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, ev: Ev{Kind: KindFunc, Idx: slot}})
+	e.funcs[slot] = fn
 	return nil
 }
 
-// takeFunc removes and returns the closure in slot, freeing the slot
-// (and the closure, for the GC) before the closure runs.
-func (e *Engine) takeFunc(slot int32) func() {
-	fn := e.funcs[slot]
-	e.funcs[slot] = nil
-	e.freeFuncs = append(e.freeFuncs, slot)
-	return fn
+// schedule writes ev into a free payload slot and pushes its key,
+// returning the slot. The caller has validated t.
+func (e *Engine) schedule(t hw.Seconds, ev Ev) int32 {
+	var slot int32
+	if n := len(e.freeSlots); n > 0 {
+		slot = e.freeSlots[n-1]
+		e.freeSlots = e.freeSlots[:n-1]
+		e.payloads[slot] = ev
+	} else {
+		slot = int32(len(e.payloads))
+		e.payloads = append(e.payloads, ev)
+	}
+	e.seq++
+	e.events.push(key{at: t, seq: e.seq, slot: slot})
+	return slot
 }
 
 // After schedules fn delay seconds from now.
@@ -191,15 +194,22 @@ func (e *Engine) drain(stopAfter uint64) error {
 		if e.processed >= max {
 			return fmt.Errorf("sim: event budget (%d) exhausted at t=%.9g — scheduling loop?", max, e.now)
 		}
-		ev := e.events.pop()
-		e.now = ev.at
+		k := e.events.pop()
+		e.now = k.at
 		e.processed++
-		if ev.ev.Kind == KindFunc {
-			e.takeFunc(ev.ev.Idx)()
+		// Copy the payload out and free its slot before dispatch, so
+		// events the handler schedules reuse it.
+		ev := e.payloads[k.slot]
+		e.freeSlots = append(e.freeSlots, k.slot)
+		if ev.Kind == KindFunc {
+			// Drop the closure from the slab (for the GC) before it runs.
+			fn := e.funcs[k.slot]
+			e.funcs[k.slot] = nil
+			fn()
 		} else if e.handler != nil {
-			e.handler.HandleEvent(ev.ev)
+			e.handler.HandleEvent(ev)
 		} else {
-			return fmt.Errorf("sim: typed event kind %d at t=%.9g with no handler attached", ev.ev.Kind, e.now)
+			return fmt.Errorf("sim: typed event kind %d at t=%.9g with no handler attached", ev.Kind, e.now)
 		}
 	}
 	return nil
@@ -209,8 +219,8 @@ func (e *Engine) drain(stopAfter uint64) error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the event heap's and the closure slab's
-// backing arrays, so a recycled engine runs its next simulation without
+// default budget) while keeping the backing arrays of the event heap,
+// the payload slab and the closure slab, so a recycled engine runs its next simulation without
 // re-growing them. Closures still pending are dropped for the GC.
 func (e *Engine) Reset() {
 	e.now = 0
@@ -220,9 +230,10 @@ func (e *Engine) Reset() {
 	e.obs = nil
 	e.handler = nil
 	e.events = e.events[:0]
+	e.payloads = e.payloads[:0]
+	e.freeSlots = e.freeSlots[:0]
 	clear(e.funcs)
 	e.funcs = e.funcs[:0]
-	e.freeFuncs = e.freeFuncs[:0]
 }
 
 // enginePool recycles engines (and their grown heap arrays) across

@@ -7,25 +7,26 @@ import (
 )
 
 // Typed event payloads. The engine's original API schedules a `func()`
-// per event; in a steady-state run that closure is the last per-event
-// heap allocation left (PR 3 removed the heap boxing, PR 5 removes the
-// closures). A typed payload is a small value struct carried inside the
-// event heap's own slab: scheduling one touches no allocator at all.
+// per event, and in a steady-state run that closure would be a heap
+// allocation per event. A typed payload is a small value struct written
+// into the engine's payload slab: scheduling one touches no allocator
+// once the slab has grown.
 //
 // The payload is deliberately generic — a kind tag plus a handful of
 // scalar operands and one index operand — so internal/sim stays free of
 // executor types. The executor defines its own EventKind values and
 // implements Handler; the engine routes every non-closure event there.
-// The payload holds no pointers, so the heap's sifts move plain memory:
-// no GC write barriers, and an event fits one 64-byte cache line.
+// The payload holds no pointers, so the slab needs no GC write
+// barriers. The heap itself orders 24-byte (time, seq, slot) keys
+// (engine.go) and never moves a payload.
 
 // EventKind discriminates typed events. Kind zero is reserved for the
-// legacy closure path (Idx names the engine-side closure slot).
+// legacy closure path (KindFunc).
 type EventKind uint8
 
-// KindFunc marks a legacy closure event: Idx is the slot of its func()
-// in the engine's closure slab, invoked directly by the engine. At/After
-// produce these; hot paths use AtEv.
+// KindFunc marks a legacy closure event: its func() sits in the
+// engine's closure slab under the event's payload slot, and the engine
+// invokes it directly. At/After produce these; hot paths use AtEv.
 const KindFunc EventKind = 0
 
 // Ev is one typed event payload. Field meaning is owner-defined per
@@ -41,10 +42,9 @@ type Ev struct {
 	// N is an integer operand (e.g. slots or granted units).
 	N int32
 	// Idx is the index operand: the owner's handle on the event's
-	// subject (e.g. a task-slab index), or the closure slot of KindFunc.
-	// Being an index rather than a pointer, it stays valid across a
-	// Checkpoint/Restore into another engine whose owner lays its state
-	// out the same way.
+	// subject (e.g. a task-slab index). Being an index rather than a
+	// pointer, it stays valid across a Checkpoint/Restore into another
+	// engine whose owner lays its state out the same way.
 	Idx int32
 	// F1..F3 are scalar operands (e.g. chunk flops/bytes, a sync cost).
 	F1, F2, F3 float64
@@ -70,8 +70,7 @@ func (e *Engine) AtEv(t hw.Seconds, ev Ev) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, ev: ev})
+	e.schedule(t, ev)
 	return nil
 }
 

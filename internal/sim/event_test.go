@@ -186,23 +186,26 @@ func TestClosureSlotsReleased(t *testing.T) {
 			t.Fatalf("slot %d still holds its closure after it ran", i)
 		}
 	}
-	if len(e.freeFuncs) != 5 {
-		t.Fatalf("%d free slots after the run, want 5", len(e.freeFuncs))
+	if len(e.freeSlots) != 5 {
+		t.Fatalf("%d free slots after the run, want 5", len(e.freeSlots))
 	}
 	if err := e.At(e.Now()+1, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if len(e.funcs) != 0 || len(e.freeFuncs) != 0 || cap(e.funcs) < 5 {
-		t.Fatalf("Reset left %d slots, %d free (cap %d)", len(e.funcs), len(e.freeFuncs), cap(e.funcs))
+	if len(e.funcs) != 0 || len(e.freeSlots) != 0 || cap(e.funcs) < 5 {
+		t.Fatalf("Reset left %d slots, %d free (cap %d)", len(e.funcs), len(e.freeSlots), cap(e.funcs))
 	}
 }
 
-// TestEventFitsCacheLine pins the size of a heap entry: with an index
-// operand instead of a pointer slot, an event is pointer-free and one
-// 64-byte cache line, so heap sifts copy plain memory.
+// TestEventFitsCacheLine pins the size of a heap entry: the heap orders
+// (time, seq, slot) keys of at most 24 bytes while payloads stay in the
+// slab, and a payload still fits one 64-byte cache line.
 func TestEventFitsCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 64 {
-		t.Fatalf("event is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(key{}); n > 24 {
+		t.Fatalf("heap entry is %d bytes, want <= 24", n)
+	}
+	if n := unsafe.Sizeof(Ev{}); n > 64 {
+		t.Fatalf("event payload is %d bytes, want <= 64", n)
 	}
 }
