@@ -17,7 +17,9 @@ import (
 // pattern the executor's device/section state machines produce. The
 // closure side builds one fresh capturing closure per event (exactly
 // what the executor did before the typed-event conversion); the typed
-// side carries the same operands in a sim.Ev payload.
+// side schedules an 8-byte sim.Ev naming its chain and keeps the same
+// operands in handler state indexed by that chain, as the executor keeps
+// its event operands in the task.
 
 const (
 	eventChains  = 16 // concurrent chains, so the heap holds real state
@@ -27,15 +29,28 @@ const (
 	allocsEvents = 20_000  // per AllocsPerRun body
 )
 
-// tickHandler drives the typed chains: each event reschedules itself
-// with the countdown and accumulator carried in the payload.
-type tickHandler struct{ eng *sim.Engine }
+// tickChain is one typed chain's operands: its countdown and
+// accumulator.
+type tickChain struct {
+	left int32
+	acc  float64
+}
+
+// tickHandler drives the typed chains: each event advances the chain
+// its Idx names and reschedules it.
+type tickHandler struct {
+	eng    *sim.Engine
+	chains [eventChains]tickChain
+}
 
 func (h *tickHandler) HandleEvent(ev sim.Ev) {
-	if ev.Kind != kindTick || ev.N == 0 {
+	c := &h.chains[ev.Idx]
+	if ev.Kind != kindTick || c.left == 0 {
 		return
 	}
-	if err := h.eng.AfterEv(eventDelay, sim.Ev{Kind: kindTick, N: ev.N - 1, F1: ev.F1 + 1}); err != nil {
+	c.left--
+	c.acc++
+	if err := h.eng.AfterEv(eventDelay, ev); err != nil {
 		panic(err)
 	}
 }
@@ -44,10 +59,12 @@ func (h *tickHandler) HandleEvent(ev sim.Ev) {
 // the engine's processed count delta.
 func runTypedEvents(eng *sim.Engine, n int) uint64 {
 	eng.Reset()
-	eng.SetHandler(&tickHandler{eng: eng})
+	h := &tickHandler{eng: eng}
+	eng.SetHandler(h)
 	before := eng.Processed()
 	for c := 0; c < eventChains; c++ {
-		if err := eng.AfterEv(eventDelay, sim.Ev{Kind: kindTick, N: int32(n / eventChains)}); err != nil {
+		h.chains[c] = tickChain{left: int32(n / eventChains)}
+		if err := eng.AfterEv(eventDelay, sim.Ev{Kind: kindTick, Idx: int32(c)}); err != nil {
 			panic(err)
 		}
 	}
@@ -109,7 +126,7 @@ type eventsReport struct {
 	NumCPU     int `json:"num_cpu"`
 	Events     int `json:"events"`
 	// Closure is the legacy func()-per-event engine path; Typed is the
-	// sim.Ev payload path the executor now uses.
+	// sim.Ev path the executor now uses.
 	Closure eventsSide `json:"closure"`
 	Typed   eventsSide `json:"typed"`
 	// Speedup is typed events/sec over closure events/sec.

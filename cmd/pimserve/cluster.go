@@ -57,7 +57,7 @@ func runRouter(addr, addrFile, backends string, healthEvery, drainWait time.Dura
 	}
 	fmt.Fprintf(os.Stderr, "pimserve: routing %d replicas on %s\n", len(members), baseURL)
 
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := serve.NewHTTPServer(rt.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -33,7 +32,7 @@ func runSelfcheck(plan *heteropim.ScenarioPlan, clients int, dedupMin float64, b
 		return err
 	}
 	baseURL := "http://" + ln.Addr().String()
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(srv.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "pimserve: selfcheck against %s (scenario %q, %d cells)\n",
 		baseURL, plan.Name, len(plan.Cells))

@@ -164,7 +164,7 @@ func main() {
 		go announceSelf(*announce, *name, baseURL)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -125,7 +125,7 @@ func startReplica(name string, fleet *Fleet, opts serve.Options) (*replicaProc, 
 	if err != nil {
 		return nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(srv.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	p := &replicaProc{name: name, url: "http://" + ln.Addr().String(), srv: srv, hs: hs}
 	fleet.Set(name, p.url)
@@ -362,7 +362,7 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	rhs := &http.Server{Handler: router.Handler()}
+	rhs := serve.NewHTTPServer(router.Handler())
 	go func() { _ = rhs.Serve(rln) }()
 	routerURL := "http://" + rln.Addr().String()
 	defer rhs.Shutdown(context.Background())

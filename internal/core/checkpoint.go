@@ -24,12 +24,13 @@ import (
 // to a from-scratch run of the same candidate (checkpoint_test.go pins
 // this across platforms and models):
 //
-//   - the engine restores its heap slab verbatim and continues the
+//   - the engine restores its heap keys verbatim and continues the
 //     sequence counter, so event order and tie-breaks match exactly
 //     (sim.Checkpoint);
 //   - the task DAG is rebuilt by the same template path and its mutable
-//     scalars overwritten from the snapshot; event payloads name tasks
-//     by slab index, which the fork's DAG shares;
+//     scalars overwritten from the snapshot; events name tasks by slab
+//     index, which the fork's DAG shares, and the operands of the
+//     pending events are restored into the tasks they name;
 //   - the register file resumes from a deep copy with token numbering
 //     continued (pim.RegistersSnapshot);
 //   - the pool's utilization integral is replayed advance-by-advance so
@@ -184,6 +185,17 @@ type taskSnap struct {
 	syncPerFlop        float64
 }
 
+// inflightSnap is the event operands of a task with an event pending at
+// the checkpoint (task.slots, frac, start). Only those tasks have live
+// operands, so they are stored apart from taskSnap: a deep checkpoint
+// keeps one taskSnap per task but only a handful of these.
+type inflightSnap struct {
+	task  int32
+	slots int32
+	frac  float64
+	start hw.Seconds
+}
+
 // itemSnap is one queued device work item, its task as a slab index.
 type itemSnap struct {
 	dur      hw.Seconds
@@ -216,6 +228,7 @@ type RunCheckpoint struct {
 
 	eng       sim.Checkpoint
 	tasks     []taskSnap // [step*n + opID]
+	inflight  []inflightSnap
 	stepLeft  []int
 	heldBack  [][]int32
 	firstOpen int
@@ -405,6 +418,11 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 			syncPerFlop: t.syncPerFlop,
 		}
 	}
+	cp.inflight = make([]inflightSnap, engCp.Pending())
+	for i := range cp.inflight {
+		t := x.taskAt(engCp.Event(i).Idx)
+		cp.inflight[i] = inflightSnap{task: t.idx, slots: t.slots, frac: t.frac, start: t.start}
+	}
 	for s, held := range x.heldBack {
 		for _, t := range held {
 			cp.heldBack[s] = append(cp.heldBack[s], t.idx)
@@ -435,14 +453,29 @@ func (c *RunCheckpoint) Compatible(cfg2 hw.SystemConfig) error {
 // from scratch, and is published to the result cache under that cell's
 // fingerprint.
 func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
-	if err := c.Compatible(cfg2); err != nil {
-		return Result{}, err
-	}
-	x, err := newExec(c.g, cfg2, c.opts)
+	x, err := c.restore(cfg2)
 	if err != nil {
 		return Result{}, err
 	}
 	defer x.teardown()
+	res, err := x.drainRun()
+	if err == nil && resultCacheUsable(c.opts) {
+		storeResult(fingerprintRun("pim", c.g, cfg2, c.opts, nil), res)
+	}
+	return res, err
+}
+
+// restore builds an executor for cfg2 holding the checkpoint's state,
+// with the engine restored and ready to drain. The caller owns the
+// executor's teardown.
+func (c *RunCheckpoint) restore(cfg2 hw.SystemConfig) (*exec, error) {
+	if err := c.Compatible(cfg2); err != nil {
+		return nil, err
+	}
+	x, err := newExec(c.g, cfg2, c.opts)
+	if err != nil {
+		return nil, err
+	}
 	for i, sn := range c.tasks {
 		t := &x.slab[i]
 		t.deps = sn.deps
@@ -450,6 +483,10 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 		t.path = sn.path
 		t.remFlops, t.remBytes = sn.remFlops, sn.remBytes
 		t.syncPerFlop = sn.syncPerFlop
+	}
+	for _, in := range c.inflight {
+		t := x.taskAt(in.task)
+		t.slots, t.frac, t.start = in.slots, in.frac, in.start
 	}
 	copy(x.stepLeft, c.stepLeft)
 	for s := range x.heldBack {
@@ -464,7 +501,8 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	x.restoreDevice(x.prog, c.prog)
 	x.regs = c.regs.NewRegisters()
 	if err := x.pool.ReplayHistory(c.poolAdv, c.poolBusy, c.poolGrant); err != nil {
-		return Result{}, err
+		x.teardown()
+		return nil, err
 	}
 	x.fixedPending = x.fixedPending[:0]
 	x.fixedHead = 0
@@ -476,11 +514,8 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	x.offload = c.offload
 	x.cpuOps = c.cpuOps
 	if err := x.eng.Restore(c.eng); err != nil {
-		return Result{}, err
+		x.teardown()
+		return nil, err
 	}
-	res, err := x.drainRun()
-	if err == nil && resultCacheUsable(c.opts) {
-		storeResult(fingerprintRun("pim", c.g, cfg2, c.opts, nil), res)
-	}
-	return res, err
+	return x, nil
 }

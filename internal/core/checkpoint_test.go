@@ -2,11 +2,15 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
+	"heteropim/internal/sim"
 )
 
 // checkpointModels are the graphs the delta-simulation properties are
@@ -200,4 +204,141 @@ func TestCheckpointRefusesInstrumentedRuns(t *testing.T) {
 	if _, _, err := CheckpointRun(g, cfg, opts); err == nil {
 		t.Fatal("expected refusal for instrumented options")
 	}
+}
+
+// TestTaskSize pins the task's footprint: every pooled arena holds one
+// task per (op, step), so a field added here grows every arena. The
+// pending event's operands (slots, frac, start) fit in 16 bytes over
+// the task's structural state.
+func TestTaskSize(t *testing.T) {
+	if n := unsafe.Sizeof(task{}); n > 112 {
+		t.Fatalf("task is %d bytes, want <= 112", n)
+	}
+}
+
+// TestReplayEveryBoundary deep-captures a small Hetero run at every
+// event boundary that captures, restores each checkpoint under a budget
+// inside its window and checks the fork against a scratch run of that
+// budget: the restored executor must hold the scratch run's pending
+// events, at most one per task, and the in-flight operands they read
+// (liveOperands), and the drained fork must produce the scratch run's
+// result bytes. A replay that loses an in-flight operand fails here at
+// the boundary that needs it. The pass with task templates off builds
+// every slab fresh, so a lost operand reads zero instead of a pooled
+// arena's stale copy of the right value.
+func TestReplayEveryBoundary(t *testing.T) {
+	defer EnableResultCache(EnableResultCache(false))
+	for _, templates := range []bool{false, true} {
+		t.Run(fmt.Sprintf("templates=%v", templates), func(t *testing.T) {
+			defer setTaskTemplates(setTaskTemplates(templates))
+			replayEveryBoundary(t)
+		})
+	}
+}
+
+func replayEveryBoundary(t *testing.T) {
+	g := smallGraph()
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	opts := HeteroOptions().withDefaults()
+	_, total, baseU := deepProbe(t, g, cfg, opts)
+	scratch := map[int]string{}
+	captured, inflight := 0, 0
+	for k := uint64(1); k < total; k++ {
+		cp, err := captureAt(g, cfg, opts, k, true)
+		if err != nil {
+			continue
+		}
+		captured++
+		u, hi := cp.UnitRange()
+		if u == baseU && hi != math.MaxInt {
+			u = hi
+		}
+		cfg2 := cfg
+		cfg2.FixedPIM.Units = u
+
+		// The scratch run of budget u, stopped at the same boundary.
+		ref, err := newExec(g, cfg2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.seed()
+		if err := ref.eng.RunUntil(k); err != nil {
+			t.Fatal(err)
+		}
+		fork, err := cp.restore(cfg2)
+		if err != nil {
+			t.Fatalf("k=%d u=%d: %v", k, u, err)
+		}
+		refCp, err := ref.eng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forkCp, err := fork.eng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forkCp.Pending() != refCp.Pending() {
+			t.Fatalf("k=%d: fork holds %d pending events, scratch %d", k, forkCp.Pending(), refCp.Pending())
+		}
+		// The operands live in the task, so a task may have at most
+		// one event pending.
+		pendingTask := map[int32]bool{}
+		for i := 0; i < refCp.Pending(); i++ {
+			ev := refCp.Event(i)
+			if pendingTask[ev.Idx] {
+				t.Fatalf("k=%d: task %d has two events pending", k, ev.Idx)
+			}
+			pendingTask[ev.Idx] = true
+			if got := forkCp.Event(i); got != ev {
+				t.Fatalf("k=%d: pending event %d is %+v, scratch %+v", k, i, got, ev)
+			}
+			a, b := liveOperands(ev, fork.taskAt(ev.Idx)), liveOperands(ev, ref.taskAt(ev.Idx))
+			if a != b {
+				t.Fatalf("k=%d: event kind %d in-flight operands %+v, scratch %+v", k, ev.Kind, a, b)
+			}
+			if ev.Kind == evSectionDone {
+				inflight++
+			}
+		}
+		ref.teardown()
+
+		got, err := fork.drainRun()
+		fork.teardown()
+		if err != nil {
+			t.Fatalf("k=%d u=%d: %v", k, u, err)
+		}
+		want, ok := scratch[u]
+		if !ok {
+			r, err := RunPIM(g, cfg2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = resultJSON(t, r)
+			scratch[u] = want
+		}
+		if resultJSON(t, got) != want {
+			t.Fatalf("k=%d u=%d: replay differs from scratch", k, u)
+		}
+	}
+	if captured < int(total)/2 || inflight == 0 {
+		t.Fatalf("only %d of %d boundaries captured (%d pending sections checked)", captured, total-1, inflight)
+	}
+	t.Logf("%d events, %d boundaries replayed under %d budgets, %d pending sections checked",
+		total, captured, len(scratch), inflight)
+}
+
+// liveOperands returns the task operands that ev's handler reads. The
+// others are stale, left by the task's earlier events and never read,
+// so they are zero here.
+func liveOperands(ev sim.Ev, t *task) inflightSnap {
+	o := inflightSnap{task: t.idx}
+	switch ev.Kind {
+	case evSectionDone:
+		o.slots, o.frac, o.start = t.slots, t.frac, t.start
+	case evItemDone:
+		o.slots, o.start = t.slots, t.start
+	case evResidualDone:
+		o.start = t.start
+	}
+	return o
 }

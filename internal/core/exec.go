@@ -156,21 +156,24 @@ const fixedTimeQuantum hw.Seconds = 2e-3
 
 // Typed event kinds of the PIM executor (sim.KindFunc = 0 is reserved
 // for legacy closure events). Every kind carries its task's slab index
-// in Idx; the scalar operands are documented per kind. Scheduling these
-// allocates nothing — the payload travels by value inside the engine's
-// heap slab — which is what makes the steady-state inner loop closure-
-// and allocation-free (the AllocsPerRun pin in exec_alloc_test.go).
+// in Idx. A task has at most one event pending, so the remaining
+// operands live in the task (slots, frac, start), documented per kind.
+// Scheduling these allocates nothing — the event travels by value inside
+// the engine's heap key — which is what makes the steady-state inner
+// loop closure- and allocation-free (the AllocsPerRun pin in
+// exec_alloc_test.go).
 const (
-	// evItemDone: a serial-device work item finished. A = device index
-	// (devCPU/devProg), N = slots to release, Start = span start.
+	// evItemDone: a serial-device work item finished. The device follows
+	// from the task's path; task slots = slots to release, start = span
+	// start.
 	evItemDone sim.EventKind = iota + 1
 	// evStartResidual: begin one residual half. Flag = before-sections.
 	evStartResidual
 	// evResidualDone: a residual half finished. Flag = before-sections,
-	// Start = span start.
+	// task start = span start.
 	evResidualDone
-	// evSectionDone: one fixed-pool chunk finished. N = granted units,
-	// F1/F2 = chunk flops/bytes, F3 = sync-gap duration, Start = span
+	// evSectionDone: one fixed-pool chunk finished. Task slots = granted
+	// units, frac = the chunk's share of the remaining work, start = span
 	// start.
 	evSectionDone
 	// evSyncGap: the post-chunk synchronization gap elapsed; request the
@@ -178,21 +181,21 @@ const (
 	evSyncGap
 )
 
-// Serial-device indexes for evItemDone's A operand.
-const (
-	devCPU uint8 = iota
-	devProg
-)
-
 // task is one operation instance (op x step) in flight.
 type task struct {
 	op   *nn.Op
 	step int
 	// idx is the task's slab index, step*len(ops) + op ID: its handle in
-	// event payloads and checkpoints.
-	idx  int32
-	deps int
-	outs []*task
+	// events and checkpoints.
+	idx int32
+	// slots, frac and start are the operands of the task's one pending
+	// event (see the event kinds): the device slots or fixed units it
+	// holds, the in-flight section's share of the remaining work, and the
+	// span start. Every schedule writes them first, so a run never reads
+	// a stale value and the template path need not reset them.
+	slots int32
+	deps  int
+	outs  []*task
 
 	// token is the op's handle in the Fig. 7 status registers.
 	token pim.OpToken
@@ -204,6 +207,10 @@ type task struct {
 	// syncPerFlop spreads the op's total per-kernel synchronization
 	// cost over its decomposable flops.
 	syncPerFlop float64
+
+	// frac and start: see slots.
+	frac  float64
+	start hw.Seconds
 }
 
 // workItem is a unit of queued device work.
@@ -235,8 +242,6 @@ const maxBypass = 8
 // re-slice leaked the array head and forced append to re-grow it
 // continuously — the hottest allocation site of the scheduling loop).
 type serialDevice struct {
-	// idx is the device's evItemDone operand (devCPU or devProg).
-	idx   uint8
 	slots int
 	busy  int
 	sjf   bool
@@ -449,8 +454,8 @@ func initExec(eng *sim.Engine, g *nn.Graph, cfg hw.SystemConfig, opts Options, p
 		// inter-op thread pool keeps multiple operations in flight on
 		// the 8-core machine, which is what lets a co-running job use
 		// idle host cycles (Section VI-F).
-		cpu:  &serialDevice{idx: devCPU, slots: 2, sjf: true, name: hostTrack, queueMetric: "queue." + hostTrack},
-		prog: &serialDevice{idx: devProg, slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
+		cpu:  &serialDevice{slots: 2, sjf: true, name: hostTrack, queueMetric: "queue." + hostTrack},
+		prog: &serialDevice{slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
 	}
 	// The executor is the engine's typed-event dispatcher; Release's
 	// Reset detaches it along with the collector.
@@ -801,9 +806,8 @@ func (x *exec) pumpDevice(d *serialDevice) {
 			x.eng.EmitSample(d.queueMetric, float64(d.pending()))
 			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: w.t.op.Name, Kind: "op", Step: w.t.step})
 		}
-		if err := x.eng.AfterEv(w.dur, sim.Ev{
-			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Idx: w.t.idx,
-		}); err != nil {
+		w.t.slots, w.t.start = int32(w.slots), x.eng.Now()
+		if err := x.eng.AfterEv(w.dur, sim.Ev{Kind: evItemDone, Idx: w.t.idx}); err != nil {
 			x.err = err
 		}
 	}
@@ -835,12 +839,12 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 	switch ev.Kind {
 	case evItemDone:
 		d := x.cpu
-		if ev.A == devProg {
+		if t.path == pathProg {
 			d = x.prog
 		}
-		d.busy -= int(ev.N)
+		d.busy -= int(t.slots)
 		if x.eng.Observing() {
-			x.eng.EmitTaskEnd(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step, Start: ev.Start})
+			x.eng.EmitTaskEnd(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step, Start: t.start})
 		}
 		x.pumpDevice(d)
 		if t.path == pathProg {
@@ -851,7 +855,7 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 		x.runResidual(t, ev.Flag)
 	case evResidualDone:
 		if x.eng.Observing() {
-			x.eng.EmitTaskEnd(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step, Start: ev.Start})
+			x.eng.EmitTaskEnd(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step, Start: t.start})
 		}
 		if ev.Flag {
 			x.requestSection(t)
@@ -860,7 +864,7 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 			x.complete(t)
 		}
 	case evSectionDone:
-		x.sectionDone(t, ev)
+		x.sectionDone(t)
 	case evSyncGap:
 		if t.remFlops > 0 {
 			x.requestSection(t)
@@ -1029,9 +1033,8 @@ func (x *exec) runResidual(t *task, before bool) {
 	if x.eng.Observing() {
 		x.eng.EmitTaskStart(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step})
 	}
-	if err := x.eng.AfterEv(half.Time(), sim.Ev{
-		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Idx: t.idx,
-	}); err != nil {
+	t.start = x.eng.Now()
+	if err := x.eng.AfterEv(half.Time(), sim.Ev{Kind: evResidualDone, Flag: before, Idx: t.idx}); err != nil {
 		x.err = err
 	}
 }
@@ -1092,7 +1095,6 @@ func (x *exec) runSection(t *task, granted int) {
 		dur = fixedTimeQuantum
 	}
 	chunkFlops := t.remFlops * frac
-	chunkBytes := t.remBytes * frac
 	// Per-kernel synchronization for this chunk's kernels: cheap
 	// in-stack syncs with RC, host spawns + completion syncs without
 	// (Section III-B). The units are RELEASED during the gap — that
@@ -1103,7 +1105,8 @@ func (x *exec) runSection(t *task, granted int) {
 	// Breakdown attribution follows the roofline split.
 	rate := c.UnitRate * float64(granted)
 	compT := chunkFlops / rate
-	opT := math.Min(compT, dur)
+	// The builtin min inlines; with dur finite it equals math.Min.
+	opT := min(compT, dur)
 	x.bk.Operation += opT
 	x.bk.DataMovement += dur - opT
 	if x.eng.Observing() {
@@ -1113,37 +1116,42 @@ func (x *exec) runSection(t *task, granted int) {
 		x.eng.EmitSample("fixed.busy_units", float64(x.pool.Busy()))
 		x.eng.EmitTaskStart(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step})
 	}
-	if err := x.eng.AfterEv(dur, sim.Ev{
-		Kind: evSectionDone, N: int32(granted),
-		F1: chunkFlops, F2: chunkBytes, F3: syncCost,
-		Start: x.eng.Now(), Idx: t.idx,
-	}); err != nil {
+	t.slots, t.frac, t.start = int32(granted), frac, x.eng.Now()
+	if err := x.eng.AfterEv(dur, sim.Ev{Kind: evSectionDone, Idx: t.idx}); err != nil {
 		x.err = err
 	}
 }
 
 // sectionDone finishes one granted chunk (the evSectionDone case):
 // release the units, account the chunk, hand freed units to waiters,
-// and schedule the synchronization gap.
-func (x *exec) sectionDone(t *task, ev sim.Ev) {
-	granted := int(ev.N)
+// and schedule the synchronization gap. The chunk's work and sync cost
+// are runSection's products, recomputed from operands unchanged since.
+// The explicit float64 conversions round each product before it is
+// used, as in runSection: Go may otherwise fuse a product into the
+// subtraction that consumes it (arm64 builds emit an FMSUBD there), and
+// the work accounted would differ in its last bits from the chunk timed.
+func (x *exec) sectionDone(t *task) {
+	granted := int(t.slots)
+	chunkFlops := float64(t.remFlops * t.frac)
+	chunkBytes := float64(t.remBytes * t.frac)
+	syncCost := float64(t.syncPerFlop * chunkFlops)
 	x.pool.Advance(x.eng.Now())
 	if err := x.pool.Release(granted); err != nil {
 		x.err = err
 		return
 	}
 	if x.eng.Observing() {
-		x.eng.EmitTaskEnd(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step, Start: ev.Start})
+		x.eng.EmitTaskEnd(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step, Start: t.start})
 		x.eng.EmitSample("fixed.busy_units", float64(x.pool.Busy()))
 	}
-	t.remFlops -= ev.F1
-	t.remBytes -= ev.F2
+	t.remFlops -= chunkFlops
+	t.remBytes -= chunkBytes
 	if t.remFlops < 1 {
 		t.remFlops = 0
 	}
 	x.pumpFixedPending()
 	// The synchronization gap runs with the units already released.
-	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Idx: t.idx}); err != nil {
+	if err := x.eng.AfterEv(syncCost, sim.Ev{Kind: evSyncGap, Idx: t.idx}); err != nil {
 		x.err = err
 	}
 }

@@ -190,3 +190,17 @@ func TestSafeDiv(t *testing.T) {
 		t.Fatal("plain division broken")
 	}
 }
+
+// TestWorkTimeMatchesMathMax pins Work.Time to math.Max bit for bit,
+// the IEEE special cases (signed zeros, infinities, NaN) included.
+func TestWorkTimeMatchesMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1e-9, 2, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range vals {
+		for _, b := range vals {
+			got, want := (Work{Compute: a, Memory: b}).Time(), math.Max(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("Work{%v, %v}.Time() = %v, math.Max = %v", a, b, got, want)
+			}
+		}
+	}
+}

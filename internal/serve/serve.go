@@ -111,6 +111,32 @@ func New(opts Options) *Server {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts of NewHTTPServer.
+const (
+	// readTimeout bounds reading one request's headers and body, so a
+	// slow or stalled client cannot hold a connection open forever.
+	readTimeout = 10 * time.Second
+	// idleTimeout bounds the wait for the next request on a keep-alive
+	// connection. It is set explicitly because a zero IdleTimeout falls
+	// back to readTimeout, which would close the router's pooled
+	// connections to its replicas after ten idle seconds.
+	idleTimeout = 120 * time.Second
+)
+
+// NewHTTPServer returns the http.Server every pimserve listener (daemon,
+// router, self-checks) serves h with. It bounds request reads and
+// keep-alive idling but sets no WriteTimeout: a result long-poll
+// (GET /v1/jobs/{id}/result?wait=) and an SSE stream legitimately write
+// long after their request arrived.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Registry exposes the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 

@@ -403,3 +403,28 @@ func TestLoadGenSelfcheck(t *testing.T) {
 		t.Fatalf("dedup ratio = %.2f, want >= 4", rep.DedupRatio)
 	}
 }
+
+// TestNewHTTPServerTimeouts pins the listener's connection timeouts:
+// bounded request reads, an explicit keep-alive idle window well past
+// the read bound (a zero IdleTimeout would fall back to ReadTimeout and
+// churn the router's pooled replica connections), and no WriteTimeout,
+// which would cut result long-polls and SSE streams short.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	hs := NewHTTPServer(h)
+	if hs.Handler != h {
+		t.Fatal("NewHTTPServer dropped its handler")
+	}
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout > 10*time.Second {
+		t.Errorf("ReadHeaderTimeout %v, want (0, 10s]", hs.ReadHeaderTimeout)
+	}
+	if hs.ReadTimeout <= 0 || hs.ReadTimeout > 10*time.Second {
+		t.Errorf("ReadTimeout %v, want (0, 10s]", hs.ReadTimeout)
+	}
+	if hs.IdleTimeout < 90*time.Second {
+		t.Errorf("IdleTimeout %v, want >= 90s", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v, want none: long-polls write after the request arrived", hs.WriteTimeout)
+	}
+}

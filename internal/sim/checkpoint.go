@@ -9,40 +9,38 @@ import (
 
 // Engine checkpoint/restore: a Checkpoint freezes the engine's complete
 // scheduling state — clock, sequence counter, processed-event count and
-// the event heap's backing slab — so a run can be forked at an event
+// the event heap's keys — so a run can be forked at an event
 // boundary and replayed into one or more fresh engines. The delta
 // simulation layer in internal/core uses this to share the
 // configuration-independent prefix of a design-space candidate's event
 // timeline across the whole candidate group.
 //
-// Only typed events snapshot: a KindFunc payload is an opaque closure
+// Only typed events snapshot: a KindFunc event names an opaque closure
 // over live executor state, so copying it into another run would alias
-// that state. Checkpoint refuses them. Typed payloads are plain values
+// that state. Checkpoint refuses them. Typed events are plain values
 // whose Idx operand is an index into owner state, so they restore
-// verbatim into a fork that lays its state out the same way.
+// verbatim into a fork that lays its state out the same way; an owner
+// that keeps per-event operands in its own state reads the pending
+// events back (Event) to know which of them to save.
 //
 // Bit-identity contract: restoring a checkpoint into a fresh engine and
 // draining it executes exactly the events, in exactly the order, at
 // exactly the times the source engine would have executed had it kept
-// running — the heap's keys are copied in heap layout with their slots
-// renumbered over the compacted payloads, and the sequence counter
+// running — the heap's keys, events included, are copied verbatim in
+// heap layout, and the sequence counter
 // continues from the snapshot, so later schedules tie-break
 // identically. checkpoint_test.go pins this.
 
 // Checkpoint is a frozen engine state. It is immutable once taken and
-// safe to share: every Restore copies the keys and payloads into the
-// target engine, so concurrent forks of one checkpoint never alias
-// event storage.
+// safe to share: every Restore copies the keys into the target engine,
+// so concurrent forks of one checkpoint never alias event storage.
 type Checkpoint struct {
 	now       hw.Seconds
 	seq       uint64
 	processed uint64
 	maxEvents uint64
-	// keys is the heap in its layout; key i's slot indexes payloads,
-	// which holds only the pending events' payloads, in the source
-	// engine's slot order.
-	keys     []key
-	payloads []Ev
+	// keys is the heap in its layout.
+	keys []key
 }
 
 // Now returns the simulated time the checkpoint was taken at.
@@ -54,46 +52,30 @@ func (c Checkpoint) Processed() uint64 { return c.processed }
 // Pending returns how many events were queued at the checkpoint.
 func (c Checkpoint) Pending() int { return len(c.keys) }
 
+// Event returns pending event i, 0 <= i < Pending(), in heap layout
+// order (not dispatch order).
+func (c Checkpoint) Event(i int) Ev { return c.keys[i].ev }
+
 // Checkpoint snapshots the engine at the current event boundary. It
 // must be called between events (never from inside a Handler whose
 // event is still mutating state — the snapshot cannot see half-applied
 // mutations, only the engine's own queue). It fails if any pending
 // event is a KindFunc closure.
 func (e *Engine) Checkpoint() (Checkpoint, error) {
-	// Mark the live slots, then number them in slot order: the
-	// checkpoint's payloads are the slab with its free slots squeezed
-	// out.
-	remap := make([]int32, len(e.payloads))
-	for i := range remap {
-		remap[i] = -1
-	}
 	for _, k := range e.events {
-		if e.payloads[k.slot].Kind == KindFunc {
+		if k.ev.Kind == KindFunc {
 			return Checkpoint{}, fmt.Errorf(
 				"sim: cannot checkpoint: pending closure (KindFunc) event at t=%.9g; only typed events snapshot",
 				k.at)
 		}
-		remap[k.slot] = 0
 	}
-	cp := Checkpoint{
+	return Checkpoint{
 		now:       e.now,
 		seq:       e.seq,
 		processed: e.processed,
 		maxEvents: e.MaxEvents,
-		keys:      make([]key, len(e.events)),
-		payloads:  make([]Ev, 0, len(e.events)),
-	}
-	for slot, live := range remap {
-		if live == 0 {
-			remap[slot] = int32(len(cp.payloads))
-			cp.payloads = append(cp.payloads, e.payloads[slot])
-		}
-	}
-	for i, k := range e.events {
-		k.slot = remap[k.slot]
-		cp.keys[i] = k
-	}
-	return cp, nil
+		keys:      append([]key(nil), e.events...),
+	}, nil
 }
 
 // Restore loads a checkpoint into a fresh (new or Reset) engine.
@@ -109,8 +91,6 @@ func (e *Engine) Restore(cp Checkpoint) error {
 	e.processed = cp.processed
 	e.MaxEvents = cp.maxEvents
 	e.events = append(e.events[:0], cp.keys...)
-	e.payloads = append(e.payloads[:0], cp.payloads...)
-	e.freeSlots = e.freeSlots[:0]
 	return nil
 }
 

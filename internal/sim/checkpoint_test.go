@@ -8,30 +8,51 @@ import (
 	"testing"
 )
 
-// cpHandler records every dispatched typed event with its time.
+// cpHandler records every dispatched typed event with its time. Each
+// event's Idx names its operands in the handler's ops table, the way
+// the executor's events name a task.
 type cpHandler struct {
 	eng  *Engine
+	ops  []cpOp
 	log  []cpEntry
 	feed int
 }
 
+// cpOp is one event's operands: a value and the subject it acts on.
+type cpOp struct{ n, subj int32 }
+
 type cpEntry struct {
-	kind EventKind
-	n    int32
-	idx  int32
-	at   float64
+	kind    EventKind
+	n, subj int32
+	at      float64
+}
+
+// fork returns a handler for a restored engine, continuing h's state.
+func (h *cpHandler) fork(e *Engine) *cpHandler {
+	f := &cpHandler{eng: e, ops: h.ops, log: append([]cpEntry(nil), h.log...), feed: h.feed}
+	// Cap ops so the fork's appends never write into h's backing array.
+	f.ops = f.ops[:len(f.ops):len(f.ops)]
+	e.SetHandler(f)
+	return f
+}
+
+// at schedules an event of kind with operands op.
+func (h *cpHandler) at(t float64, kind EventKind, op cpOp) error {
+	h.ops = append(h.ops, op)
+	return h.eng.AtEv(t, Ev{Kind: kind, Idx: int32(len(h.ops) - 1)})
 }
 
 func (h *cpHandler) HandleEvent(ev Ev) {
-	h.log = append(h.log, cpEntry{kind: ev.Kind, n: ev.N, idx: ev.Idx, at: h.eng.Now()})
+	op := h.ops[ev.Idx]
+	h.log = append(h.log, cpEntry{kind: ev.Kind, n: op.n, subj: op.subj, at: h.eng.Now()})
 	// A little feedback scheduling so the suffix depends on engine state
 	// (sequence tie-breaks, relative delays), not just the initial queue.
 	if ev.Kind == 1 && h.feed < 5 {
 		h.feed++
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 100, Idx: ev.Idx}); err != nil {
+		if err := h.at(h.eng.Now()+0.5, 2, cpOp{n: op.n + 100, subj: op.subj}); err != nil {
 			panic(err)
 		}
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 200, Idx: ev.Idx}); err != nil {
+		if err := h.at(h.eng.Now()+0.5, 2, cpOp{n: op.n + 200, subj: op.subj}); err != nil {
 			panic(err)
 		}
 	}
@@ -45,13 +66,13 @@ func seedEngine(t *testing.T, e *Engine, h *cpHandler) {
 	h.eng = e
 	for i := 0; i < 8; i++ {
 		at := float64(i%3) + 0.25
-		if err := e.AtEv(at, Ev{Kind: 1, N: int32(i), Idx: int32(10 + i)}); err != nil {
+		if err := h.at(at, 1, cpOp{n: int32(i), subj: int32(10 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Ties at t=1.0 exercise sequence-order preservation.
 	for i := 0; i < 4; i++ {
-		if err := e.AtEv(1.0, Ev{Kind: 3, N: int32(i), Idx: int32(10 + i)}); err != nil {
+		if err := h.at(1.0, 3, cpOp{n: int32(i), subj: int32(10 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,9 +102,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			t.Fatalf("stop=%d: checkpoint accessors disagree with engine", stop)
 		}
 		dst := New()
-		dstH := &cpHandler{log: append([]cpEntry(nil), srcH.log...), feed: srcH.feed}
-		dst.SetHandler(dstH)
-		dstH.eng = dst
+		dstH := srcH.fork(dst)
 		if err := dst.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +174,8 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			e := New()
-			eh := &cpHandler{feed: h.feed}
-			e.SetHandler(eh)
-			eh.eng = e
+			eh := h.fork(e)
+			eh.log = nil
 			if err := e.Restore(cp); err != nil {
 				panic(err)
 			}
@@ -177,8 +195,8 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 		t.Fatal("restored runs executed no events")
 	}
 	for _, en := range logs[0] {
-		if en.idx < 10 || en.idx >= 18 {
-			t.Fatalf("restored event carries index operand %d, want the seeded 10..17", en.idx)
+		if en.subj < 10 || en.subj >= 18 {
+			t.Fatalf("restored event acts on subject %d, want the seeded 10..17", en.subj)
 		}
 	}
 }
@@ -188,14 +206,15 @@ func TestCheckpointConcurrentRestores(t *testing.T) {
 // mirroring the engine's sequence counter so the test can build the
 // (time, seq) reference order independently of the heap.
 type slabHarness struct {
-	t          *testing.T
-	eng        *Engine
-	log        []int32
-	ref        []slabRef
-	nextID     int32
-	seq        uint64
-	closures   int // closures scheduled and not yet run
-	maxPending int
+	t           *testing.T
+	eng         *Engine
+	log         []int32
+	ref         []slabRef
+	nextID      int32
+	seq         uint64
+	closures    int // closures scheduled and not yet run
+	maxClosures int // most closures ever pending at once
+	allClosures int // closures ever scheduled
 }
 
 type slabRef struct {
@@ -214,31 +233,31 @@ func (h *slabHarness) note(at float64) int32 {
 
 func (h *slabHarness) typed(at float64) {
 	id := h.note(at)
-	if err := h.eng.AtEv(at, Ev{Kind: 1, N: id, Idx: -id}); err != nil {
+	if err := h.eng.AtEv(at, Ev{Kind: 1, Flag: id%2 == 1, Idx: id}); err != nil {
 		h.t.Fatal(err)
 	}
-	h.maxPending = max(h.maxPending, h.eng.Pending())
 }
 
 func (h *slabHarness) closure(at float64) {
 	id := h.note(at)
 	h.closures++
+	h.allClosures++
 	if err := h.eng.At(at, func() { h.log = append(h.log, id); h.closures-- }); err != nil {
 		h.t.Fatal(err)
 	}
-	h.maxPending = max(h.maxPending, h.eng.Pending())
+	h.maxClosures = max(h.maxClosures, h.closures)
 }
 
 // HandleEvent logs the event and, for every third id, schedules a
-// follow-up at a quarter-step multiple of now, so dispatch frees and
-// immediately reuses slots and produces same-time ties.
+// follow-up at a quarter-step multiple of now, so same-time ties arise
+// from inside dispatch.
 func (h *slabHarness) HandleEvent(ev Ev) {
-	if ev.Idx != -ev.N {
-		h.t.Fatalf("event %d: Idx operand %d corrupted in the slab", ev.N, ev.Idx)
+	if ev.Kind != 1 || ev.Flag != (ev.Idx%2 == 1) {
+		h.t.Fatalf("event %d: kind %d / flag %v corrupted in the heap", ev.Idx, ev.Kind, ev.Flag)
 	}
-	h.log = append(h.log, ev.N)
-	if ev.N%3 == 0 {
-		h.typed(h.eng.Now() + float64(ev.N%4)*0.25)
+	h.log = append(h.log, ev.Idx)
+	if ev.Idx%3 == 0 {
+		h.typed(h.eng.Now() + float64(ev.Idx%4)*0.25)
 	}
 }
 
@@ -261,10 +280,10 @@ func (h *slabHarness) apply(op slabOp) {
 }
 
 // TestSlabRandomizedOrderAndFork interleaves AtEv, At and RunUntil with
-// same-time ties and heavy slot reuse, checks the dispatch order against
-// a (time, seq)-sorted reference, and forks the run mid-way into a Reset
-// engine whose slab was fragmented by an earlier run: the fork's
-// dispatch suffix must equal the original's.
+// same-time ties and heavy closure-slot reuse, checks the dispatch order
+// against a (time, seq)-sorted reference, and forks the run mid-way into
+// a Reset engine whose closure slab was fragmented by an earlier run:
+// the fork's dispatch suffix must equal the original's.
 func TestSlabRandomizedOrderAndFork(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	script := make([]slabOp, 4000)
@@ -293,19 +312,24 @@ func TestSlabRandomizedOrderAndFork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Fragment a second engine's slab (free slots below live
-			// ones), then Reset it and restore the checkpoint there.
+			// Fragment a second engine's closure slab (free slots
+			// below live ones), then Reset it and restore the
+			// checkpoint there.
 			eng := New()
 			frag := &slabHarness{t: t, eng: eng}
 			eng.SetHandler(frag)
 			for j := 0; j < 64; j++ {
-				frag.typed(float64(j % 7))
+				if j%2 == 0 {
+					frag.typed(float64(j % 7))
+				} else {
+					frag.closure(float64(j % 7))
+				}
 			}
 			if err := eng.RunUntil(40); err != nil {
 				t.Fatal(err)
 			}
-			if len(eng.freeSlots) == 0 || eng.Pending() == 0 {
-				t.Fatal("second engine's slab is not fragmented")
+			if len(eng.freeFuncs) == 0 || frag.closures == 0 {
+				t.Fatal("second engine's closure slab is not fragmented")
 			}
 			eng.Reset()
 			if err := eng.Restore(cp); err != nil {
@@ -349,13 +373,14 @@ func TestSlabRandomizedOrderAndFork(t *testing.T) {
 	if fork.eng.Now() != orig.eng.Now() || fork.eng.Processed() != orig.eng.Processed() {
 		t.Fatal("fork ended at a different time or event count")
 	}
-	// Slots are freed before dispatch and reused first, so the slab is
-	// exactly as large as the most events ever pending at once.
-	if len(orig.eng.payloads) != orig.maxPending {
-		t.Fatalf("slab has %d slots, want the peak pending count %d", len(orig.eng.payloads), orig.maxPending)
+	// Closure slots are freed before dispatch and reused first, so the
+	// closure slab is exactly as large as the most closures ever pending
+	// at once.
+	if len(orig.eng.funcs) != orig.maxClosures {
+		t.Fatalf("closure slab has %d slots, want the peak pending count %d", len(orig.eng.funcs), orig.maxClosures)
 	}
-	if len(want) < 10*len(orig.eng.payloads) {
-		t.Fatalf("%d events over %d slots: too little slot reuse to exercise the free list",
-			len(want), len(orig.eng.payloads))
+	if orig.allClosures < 10*len(orig.eng.funcs) {
+		t.Fatalf("%d closures over %d slots: too little slot reuse to exercise the free list",
+			orig.allClosures, len(orig.eng.funcs))
 	}
 }

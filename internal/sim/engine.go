@@ -14,14 +14,13 @@ import (
 )
 
 // key is one heap entry: the event's time, its insertion sequence and
-// the payload-slab slot holding its Ev (event.go). Keys are 24 bytes and
-// hold no pointers, so the heap's sifts move three words per level,
-// while each payload is written once when scheduled and read once when
-// dispatched.
+// the event itself (event.go). Keys are 24 bytes and hold no pointers,
+// so the heap's sifts move three words per level and an event is
+// written once, by the push that schedules it.
 type key struct {
-	at   hw.Seconds
-	seq  uint64
-	slot int32
+	at  hw.Seconds
+	seq uint64
+	ev  Ev
 }
 
 // before is the heap order: time first, insertion sequence as the tie
@@ -97,12 +96,6 @@ type Engine struct {
 	now    hw.Seconds
 	seq    uint64
 	events keyHeap
-	// payloads is the slab the keys' slots index; freeSlots lists the
-	// slots whose event already dispatched, reused before payloads
-	// grows, so the slab stays as large as the most events ever pending
-	// at once.
-	payloads  []Ev
-	freeSlots []int32
 	// processed counts executed events (for runaway detection).
 	processed uint64
 	// MaxEvents guards against schedule loops; 0 means the default.
@@ -113,9 +106,11 @@ type Engine struct {
 	// handler dispatches typed (non-KindFunc) events; see event.go.
 	handler Handler
 	// funcs holds the closures of pending KindFunc events, indexed by
-	// their payload slot; it grows only to the highest slot a closure
-	// has used.
-	funcs []func()
+	// their Ev.Idx; freeFuncs lists the slots whose closure already ran,
+	// reused before funcs grows, so the slab stays as large as the most
+	// closures ever pending at once.
+	funcs     []func()
+	freeFuncs []int32
 }
 
 // DefaultMaxEvents bounds a single Run; generous for every workload here.
@@ -148,29 +143,23 @@ func (e *Engine) At(t hw.Seconds, fn func()) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
-	slot := e.schedule(t, Ev{Kind: KindFunc})
-	for int(slot) >= len(e.funcs) {
-		e.funcs = append(e.funcs, nil)
+	var slot int32
+	if n := len(e.freeFuncs); n > 0 {
+		slot = e.freeFuncs[n-1]
+		e.freeFuncs = e.freeFuncs[:n-1]
+		e.funcs[slot] = fn
+	} else {
+		slot = int32(len(e.funcs))
+		e.funcs = append(e.funcs, fn)
 	}
-	e.funcs[slot] = fn
+	e.schedule(t, Ev{Kind: KindFunc, Idx: slot})
 	return nil
 }
 
-// schedule writes ev into a free payload slot and pushes its key,
-// returning the slot. The caller has validated t.
-func (e *Engine) schedule(t hw.Seconds, ev Ev) int32 {
-	var slot int32
-	if n := len(e.freeSlots); n > 0 {
-		slot = e.freeSlots[n-1]
-		e.freeSlots = e.freeSlots[:n-1]
-		e.payloads[slot] = ev
-	} else {
-		slot = int32(len(e.payloads))
-		e.payloads = append(e.payloads, ev)
-	}
+// schedule pushes ev's key. The caller has validated t.
+func (e *Engine) schedule(t hw.Seconds, ev Ev) {
 	e.seq++
-	e.events.push(key{at: t, seq: e.seq, slot: slot})
-	return slot
+	e.events.push(key{at: t, seq: e.seq, ev: ev})
 }
 
 // After schedules fn delay seconds from now.
@@ -197,19 +186,17 @@ func (e *Engine) drain(stopAfter uint64) error {
 		k := e.events.pop()
 		e.now = k.at
 		e.processed++
-		// Copy the payload out and free its slot before dispatch, so
-		// events the handler schedules reuse it.
-		ev := e.payloads[k.slot]
-		e.freeSlots = append(e.freeSlots, k.slot)
-		if ev.Kind == KindFunc {
-			// Drop the closure from the slab (for the GC) before it runs.
-			fn := e.funcs[k.slot]
-			e.funcs[k.slot] = nil
+		if k.ev.Kind == KindFunc {
+			// Drop the closure from the slab (for the GC) and free its
+			// slot before it runs, so closures it schedules reuse it.
+			fn := e.funcs[k.ev.Idx]
+			e.funcs[k.ev.Idx] = nil
+			e.freeFuncs = append(e.freeFuncs, k.ev.Idx)
 			fn()
 		} else if e.handler != nil {
-			e.handler.HandleEvent(ev)
+			e.handler.HandleEvent(k.ev)
 		} else {
-			return fmt.Errorf("sim: typed event kind %d at t=%.9g with no handler attached", ev.Kind, e.now)
+			return fmt.Errorf("sim: typed event kind %d at t=%.9g with no handler attached", k.ev.Kind, e.now)
 		}
 	}
 	return nil
@@ -219,9 +206,9 @@ func (e *Engine) drain(stopAfter uint64) error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the backing arrays of the event heap,
-// the payload slab and the closure slab, so a recycled engine runs its next simulation without
-// re-growing them. Closures still pending are dropped for the GC.
+// default budget) while keeping the backing arrays of the event heap
+// and the closure slab, so a recycled engine runs its next simulation
+// without re-growing them. Closures still pending are dropped for the GC.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -230,10 +217,9 @@ func (e *Engine) Reset() {
 	e.obs = nil
 	e.handler = nil
 	e.events = e.events[:0]
-	e.payloads = e.payloads[:0]
-	e.freeSlots = e.freeSlots[:0]
 	clear(e.funcs)
 	e.funcs = e.funcs[:0]
+	e.freeFuncs = e.freeFuncs[:0]
 }
 
 // enginePool recycles engines (and their grown heap arrays) across

@@ -8,7 +8,7 @@ import (
 	"heteropim/internal/hw"
 )
 
-// recHandler records dispatched payloads in order.
+// recHandler records dispatched events in order.
 type recHandler struct {
 	got []Ev
 	eng *Engine
@@ -20,13 +20,13 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	e := New()
 	h := &recHandler{}
 	e.SetHandler(h)
-	if err := e.AtEv(2, Ev{Kind: 3, N: 30}); err != nil {
+	if err := e.AtEv(2, Ev{Kind: 3, Idx: 30}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AtEv(1, Ev{Kind: 2, N: 10}); err != nil {
+	if err := e.AtEv(1, Ev{Kind: 2, Idx: 10, Flag: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AtEv(1, Ev{Kind: 2, N: 20}); err != nil { // same time: insertion order
+	if err := e.AtEv(1, Ev{Kind: 2, Idx: 20}); err != nil { // same time: insertion order
 		t.Fatal(err)
 	}
 	var funcRan bool
@@ -39,14 +39,9 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	if !funcRan {
 		t.Fatal("interleaved closure event did not run")
 	}
-	want := []int32{10, 20, 30}
-	if len(h.got) != len(want) {
-		t.Fatalf("dispatched %d typed events, want %d", len(h.got), len(want))
-	}
-	for i, ev := range h.got {
-		if ev.N != want[i] {
-			t.Errorf("event %d: N=%d, want %d", i, ev.N, want[i])
-		}
+	want := []Ev{{Kind: 2, Idx: 10, Flag: true}, {Kind: 2, Idx: 20}, {Kind: 3, Idx: 30}}
+	if !reflect.DeepEqual(h.got, want) {
+		t.Fatalf("dispatched %v, want %v", h.got, want)
 	}
 }
 
@@ -83,7 +78,8 @@ func TestResetDetachesHandler(t *testing.T) {
 }
 
 // chainHandler reschedules n follow-up events, emulating a steady-state
-// executor that schedules from within event dispatch.
+// executor that schedules from within event dispatch and keeps the
+// event's operands (here the countdown) in its own state.
 type chainHandler struct {
 	eng  *Engine
 	left int
@@ -92,21 +88,21 @@ type chainHandler struct {
 
 func (h *chainHandler) HandleEvent(ev Ev) {
 	if ev.Idx != h.idx {
-		panic("payload index operand lost")
+		panic("event index operand lost")
 	}
 	if h.left == 0 {
 		return
 	}
 	h.left--
-	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Idx: h.idx}); err != nil {
+	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, Idx: h.idx}); err != nil {
 		panic(err)
 	}
 }
 
 // TestTypedEventSchedulingAllocsFree pins the tentpole property at the
-// engine level: once the heap slab has grown, scheduling and
-// dispatching typed events performs ZERO heap allocations — no closure,
-// no boxing of the payload.
+// engine level: once the heap has grown, scheduling and dispatching
+// typed events performs ZERO heap allocations — no closure, no boxing
+// of the event.
 func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 	e := New()
 	const tk = 41
@@ -121,7 +117,7 @@ func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 		}
 	}
 	e.SetHandler(&chainHandler{eng: e, idx: tk})
-	run() // grow the heap slab
+	run() // grow the heap
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("typed event scheduling allocates %.2f objects per 500-event run, want 0", allocs)
 	}
@@ -186,26 +182,26 @@ func TestClosureSlotsReleased(t *testing.T) {
 			t.Fatalf("slot %d still holds its closure after it ran", i)
 		}
 	}
-	if len(e.freeSlots) != 5 {
-		t.Fatalf("%d free slots after the run, want 5", len(e.freeSlots))
+	if len(e.freeFuncs) != 5 {
+		t.Fatalf("%d free slots after the run, want 5", len(e.freeFuncs))
 	}
 	if err := e.At(e.Now()+1, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if len(e.funcs) != 0 || len(e.freeSlots) != 0 || cap(e.funcs) < 5 {
-		t.Fatalf("Reset left %d slots, %d free (cap %d)", len(e.funcs), len(e.freeSlots), cap(e.funcs))
+	if len(e.funcs) != 0 || len(e.freeFuncs) != 0 || cap(e.funcs) < 5 {
+		t.Fatalf("Reset left %d slots, %d free (cap %d)", len(e.funcs), len(e.freeFuncs), cap(e.funcs))
 	}
 }
 
-// TestEventFitsCacheLine pins the size of a heap entry: the heap orders
-// (time, seq, slot) keys of at most 24 bytes while payloads stay in the
-// slab, and a payload still fits one 64-byte cache line.
+// TestEventFitsCacheLine pins the size of a heap entry: an event is at
+// most 8 bytes, so the (time, seq, event) key the heap orders stays at
+// 24 bytes — three words per sift, and over two keys per cache line.
 func TestEventFitsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Ev{}); n > 8 {
+		t.Fatalf("event is %d bytes, want <= 8", n)
+	}
 	if n := unsafe.Sizeof(key{}); n > 24 {
 		t.Fatalf("heap entry is %d bytes, want <= 24", n)
-	}
-	if n := unsafe.Sizeof(Ev{}); n > 64 {
-		t.Fatalf("event payload is %d bytes, want <= 64", n)
 	}
 }
