@@ -122,7 +122,7 @@ func BenchmarkHeteroStep(b *testing.B) {
 			}
 			var step float64
 			for i := 0; i < b.N; i++ {
-				r, err := core.Run(hw.ConfigHeteroPIM, g, 1)
+				r, err := core.RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), core.HeteroOptions())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -27,6 +28,13 @@ const (
 	eventDelay   = hw.Seconds(1e-9)
 	benchEvents  = 400_000 // per timed run
 	allocsEvents = 20_000  // per AllocsPerRun body
+
+	// One timed run takes about 15 ms, so single runs swing with host
+	// noise; a sample repeats runs until it covers eventsSampleWall, and
+	// the gate reads the median ratio over eventsPairs alternating
+	// closure/typed sample pairs.
+	eventsSampleWall = 250 * time.Millisecond
+	eventsPairs      = 7
 )
 
 // tickChain is one typed chain's operands: its countdown and
@@ -98,8 +106,10 @@ func runClosureEvents(eng *sim.Engine, n int) uint64 {
 	return eng.Processed() - before
 }
 
-// eventsSide is one engine variant's measurements.
+// eventsSide is one engine variant's measurements: the median of its
+// samples and its per-event allocation cost.
 type eventsSide struct {
+	// Seconds is the median sample's wall time per benchEvents run.
 	Seconds        float64 `json:"seconds"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
@@ -125,12 +135,19 @@ type eventsReport struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	Events     int `json:"events"`
+	// Pairs alternating closure/typed samples were taken, each covering
+	// at least SampleSeconds of wall time.
+	Pairs         int     `json:"pairs"`
+	SampleSeconds float64 `json:"sample_seconds"`
 	// Closure is the legacy func()-per-event engine path; Typed is the
 	// sim.Ev path the executor now uses.
 	Closure eventsSide `json:"closure"`
 	Typed   eventsSide `json:"typed"`
-	// Speedup is typed events/sec over closure events/sec.
-	Speedup float64 `json:"speedup"`
+	// Ratios are the per-pair typed-over-closure events/sec ratios;
+	// Speedup is their median, SpeedupIQR their interquartile range.
+	Ratios     []float64 `json:"ratios"`
+	Speedup    float64   `json:"speedup"`
+	SpeedupIQR float64   `json:"speedup_iqr"`
 	// Sharded runs the typed path on per-stack engines in parallel.
 	Sharded shardedEvents `json:"sharded"`
 }
@@ -167,50 +184,102 @@ func measureSharded(total int) shardedEvents {
 	return s
 }
 
-// measureEvents times one variant (best of three runs) and measures its
-// per-event allocation cost.
-func measureEvents(run func(*sim.Engine, int) uint64) eventsSide {
-	eng := sim.New()
-	// Warm the heap slab and handler structures.
-	run(eng, allocsEvents)
-
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
+// sampleEvents repeats benchEvents-event runs until the sample covers
+// eventsSampleWall, returning its events/sec.
+func sampleEvents(eng *sim.Engine, run func(*sim.Engine, int) uint64) float64 {
+	start := time.Now()
+	for runs := 1; ; runs++ {
 		if got := run(eng, benchEvents); got < benchEvents {
 			panic(fmt.Sprintf("processed %d events, want >= %d", got, benchEvents))
 		}
-		if d := time.Since(start); d < best {
-			best = d
+		if d := time.Since(start); d >= eventsSampleWall {
+			return float64(runs*benchEvents) / d.Seconds()
 		}
 	}
+}
+
+// quantile reads the p-th quantile (0..1) of sorted samples,
+// interpolating linearly between neighbours.
+func quantile(sorted []float64, p float64) float64 {
+	x := p * float64(len(sorted)-1)
+	i := int(x)
+	if i+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[i] + (x-float64(i))*(sorted[i+1]-sorted[i])
+}
+
+// median reads the middle of unsorted samples.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return quantile(s, 0.5)
+}
+
+// measureEventPairs takes eventsPairs closure/typed sample pairs,
+// alternating which side runs first so drift in host load hits both
+// alike, and returns each side's samples in events/sec.
+func measureEventPairs() (closure, typed []float64) {
+	ce, te := sim.New(), sim.New()
+	// Warm the heap slabs and handler structures.
+	runClosureEvents(ce, allocsEvents)
+	runTypedEvents(te, allocsEvents)
+	for i := 0; i < eventsPairs; i++ {
+		var c, t float64
+		if i%2 == 0 {
+			c = sampleEvents(ce, runClosureEvents)
+			t = sampleEvents(te, runTypedEvents)
+		} else {
+			t = sampleEvents(te, runTypedEvents)
+			c = sampleEvents(ce, runClosureEvents)
+		}
+		closure, typed = append(closure, c), append(typed, t)
+	}
+	return closure, typed
+}
+
+// eventsSideOf summarizes one side's samples and measures its
+// per-event allocation cost.
+func eventsSideOf(samples []float64, run func(*sim.Engine, int) uint64) eventsSide {
+	eng := sim.New()
+	run(eng, allocsEvents)
 	allocs := testing.AllocsPerRun(5, func() { run(eng, allocsEvents) })
+	evps := median(samples)
 	return eventsSide{
-		Seconds:        best.Seconds(),
-		EventsPerSec:   float64(benchEvents) / best.Seconds(),
+		Seconds:        benchEvents / evps,
+		EventsPerSec:   evps,
 		AllocsPerEvent: allocs / float64(allocsEvents),
 	}
 }
 
 // writeEventsJSON benchmarks the closure vs typed event paths, writes
 // the comparison to path, and fails if the typed path still allocates
-// per event or its throughput gain is below minRatio. The gates live
+// per event or its median throughput gain is below minRatio. The gates live
 // in-tool so CI only has to run the command.
 func writeEventsJSON(path string, minRatio float64) error {
 	rep := eventsReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Events:     benchEvents,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		NumCPU:        runtime.NumCPU(),
+		Events:        benchEvents,
+		Pairs:         eventsPairs,
+		SampleSeconds: eventsSampleWall.Seconds(),
 	}
-	rep.Closure = measureEvents(runClosureEvents)
-	rep.Typed = measureEvents(runTypedEvents)
-	rep.Speedup = rep.Typed.EventsPerSec / rep.Closure.EventsPerSec
+	closure, typed := measureEventPairs()
+	rep.Closure = eventsSideOf(closure, runClosureEvents)
+	rep.Typed = eventsSideOf(typed, runTypedEvents)
+	for i := range closure {
+		rep.Ratios = append(rep.Ratios, typed[i]/closure[i])
+	}
+	sorted := append([]float64(nil), rep.Ratios...)
+	sort.Float64s(sorted)
+	rep.Speedup = quantile(sorted, 0.5)
+	rep.SpeedupIQR = quantile(sorted, 0.75) - quantile(sorted, 0.25)
 	rep.Sharded = measureSharded(benchEvents)
 	fmt.Fprintf(os.Stderr,
-		"pimbench: events closure=%.3gM/s (%.2f allocs/ev) typed=%.3gM/s (%.4f allocs/ev) speedup=%.2fx sharded=%.3gM/s aggregate over %d shards\n",
+		"pimbench: events closure=%.3gM/s (%.2f allocs/ev) typed=%.3gM/s (%.4f allocs/ev) speedup median=%.2fx IQR=%.2f over %d pairs sharded=%.3gM/s aggregate over %d shards\n",
 		rep.Closure.EventsPerSec/1e6, rep.Closure.AllocsPerEvent,
-		rep.Typed.EventsPerSec/1e6, rep.Typed.AllocsPerEvent, rep.Speedup,
-		rep.Sharded.Aggregate/1e6, rep.Sharded.Shards)
+		rep.Typed.EventsPerSec/1e6, rep.Typed.AllocsPerEvent, rep.Speedup, rep.SpeedupIQR,
+		rep.Pairs, rep.Sharded.Aggregate/1e6, rep.Sharded.Shards)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -225,7 +294,7 @@ func writeEventsJSON(path string, minRatio float64) error {
 			rep.Typed.AllocsPerEvent, path)
 	}
 	if rep.Speedup < minRatio {
-		return fmt.Errorf("typed path speedup %.2fx below the %.2fx floor (see %s)",
+		return fmt.Errorf("typed path median speedup %.2fx below the %.2fx floor (see %s)",
 			rep.Speedup, minRatio, path)
 	}
 	return nil

@@ -19,7 +19,7 @@ import (
 // while the merged simulation results stay byte-identical whatever the
 // worker count. The engine side reuses the eventsjson tick chains (the
 // executor's real scheduling pattern); the identity and determinism
-// gates run the full RunWithOptions pipeline.
+// gates run the full multi-stack cell pipeline (BatchRun).
 
 const (
 	multiStacks      = 8       // shard count of the throughput comparison
@@ -64,7 +64,7 @@ type multistackReport struct {
 	Stacks         int `json:"stacks"`
 	EventsPerShard int `json:"events_per_shard"`
 	TotalEvents    int `json:"total_events"`
-	// M1Identical reports whether RunWithOptions{Stacks:1} reproduced
+	// M1Identical reports whether a Stacks:1 cell reproduced
 	// Run byte for byte (JSON of the public Result).
 	M1Identical bool `json:"m1_identical"`
 	// DeterministicAcrossWorkers reports whether an M=2 run produced the
@@ -128,12 +128,12 @@ func checkM1Identity() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	one, err := heteropim.RunWithOptions(heteropim.ConfigHeteroPIM, heteropim.VGG19,
-		heteropim.Options{Stacks: 1})
+	one, err := heteropim.BatchRun([]heteropim.BatchCell{
+		{Config: heteropim.ConfigHeteroPIM, Model: heteropim.VGG19, Stacks: 1}})
 	if err != nil {
 		return false, err
 	}
-	return string(resultBytes(base)) == string(resultBytes(one)), nil
+	return string(resultBytes(base)) == string(resultBytes(one[0])), nil
 }
 
 // checkWorkerDeterminism runs an M=2 training step under three pool
@@ -143,13 +143,13 @@ func checkWorkerDeterminism() (bool, error) {
 	for _, w := range []int{1, 4, 8} {
 		prev := heteropim.SetParallelism(w)
 		heteropim.ResetSimulationCache()
-		r, err := heteropim.RunWithOptions(heteropim.ConfigHeteroPIM, heteropim.VGG19,
-			heteropim.Options{Stacks: 2, AllReduce: heteropim.AllReduceRing})
+		r, err := heteropim.BatchRun([]heteropim.BatchCell{{Config: heteropim.ConfigHeteroPIM,
+			Model: heteropim.VGG19, Stacks: 2, AllReduce: heteropim.AllReduceRing}})
 		heteropim.SetParallelism(prev)
 		if err != nil {
 			return false, err
 		}
-		b := resultBytes(r)
+		b := resultBytes(r[0])
 		if ref == nil {
 			ref = b
 		} else if string(ref) != string(b) {

@@ -117,8 +117,9 @@ func main() {
 			fail(err)
 		}
 		buildModel(*timelineModel) // validate the name before the run
-		_, m, err := heteropim.RunInstrumented(kind, heteropim.Model(*timelineModel))
-		if err != nil {
+		m := heteropim.NewMetrics()
+		cell := heteropim.BatchCell{Config: kind, Model: heteropim.Model(*timelineModel)}
+		if _, err := heteropim.RunObserved(cell, m); err != nil {
 			fail(err)
 		}
 		w := output(*out)

@@ -193,13 +193,22 @@ func main() {
 		configs = []heteropim.Config{kind}
 	}
 
+	// One cell per configuration — the same BatchCells a scenario file
+	// would compile — shared by the instrumented path and the table, so
+	// both run (and label) exactly what the flags describe.
+	cells := make([]heteropim.BatchCell, len(configs))
+	for i, cfg := range configs {
+		cells[i] = heteropim.BatchCell{Config: cfg, Model: modelName, FreqScale: *freq,
+			BatchSize: *batch, Stacks: *stacks, AllReduce: *allreduce}
+	}
+
 	// -metrics / -advise run a single configuration instrumented.
 	if *metricsOut != "" || *advise {
 		if strings.EqualFold(*config, "all") {
 			fail(fmt.Errorf("-metrics/-advise need a single -config, not \"all\""))
 		}
-		_, m, err := heteropim.RunInstrumentedScaled(configs[0], modelName, *freq)
-		if err != nil {
+		m := heteropim.NewMetrics()
+		if _, err := heteropim.RunObserved(cells[0], m); err != nil {
 			fail(err)
 		}
 		if *metricsOut != "" {
@@ -222,26 +231,6 @@ func main() {
 		return
 	}
 
-	// The table path is a one-group scenario plan: build the same
-	// BatchCells a scenario file would compile and fan them out through
-	// BatchRun (bit-identical to the per-cell Run* helpers).
-	cells := make([]heteropim.BatchCell, len(configs))
-	for i, cfg := range configs {
-		bc := heteropim.BatchCell{Config: cfg, Model: modelName}
-		switch {
-		case *stacks > 1:
-			bc.FreqScale = *freq
-			bc.BatchSize = *batch
-			bc.Stacks = *stacks
-			bc.AllReduce = *allreduce
-		case *batch > 0:
-			// freq is ignored with -batch, as RunWithBatch always did.
-			bc.BatchSize = *batch
-		default:
-			bc.FreqScale = *freq
-		}
-		cells[i] = bc
-	}
 	results, err := heteropim.BatchRun(cells)
 	if err != nil {
 		fail(err)

@@ -2,6 +2,7 @@ package heteropim
 
 import (
 	"heteropim/internal/core"
+	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
 
@@ -20,7 +21,7 @@ func RunCustomCNN(config Config, spec CNNSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := core.Run(config, g, 1)
+	r, err := core.RunOn(config, g, hw.PaperConfigScaled(config, 1), core.PlatformOptions(config))
 	if err != nil {
 		return Result{}, err
 	}

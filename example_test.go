@@ -22,20 +22,19 @@ func ExampleRun() {
 	// breakdown sums to step: true
 }
 
-// ExampleRunVariant shows the Section VI-E software toggles: the full
-// runtime (RC+OP) beats the bare heterogeneous hardware.
-func ExampleRunVariant() {
-	bare, err := heteropim.RunVariant(heteropim.AlexNet, heteropim.Variant{})
+// ExampleBatchRun shows the Section VI-E software toggles: the full
+// runtime (RC+OP) beats the bare heterogeneous hardware. Variant cells
+// run on Hetero PIM; BatchRun returns results in cell order.
+func ExampleBatchRun() {
+	rs, err := heteropim.BatchRun([]heteropim.BatchCell{
+		{Model: heteropim.AlexNet, Variant: &heteropim.Variant{}},
+		{Model: heteropim.AlexNet, Variant: &heteropim.Variant{RecursiveKernels: true, OperationPipeline: true}},
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	full, err := heteropim.RunVariant(heteropim.AlexNet,
-		heteropim.Variant{RecursiveKernels: true, OperationPipeline: true})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	bare, full := rs[0], rs[1]
 	fmt.Println("RC+OP faster:", full.StepTime < bare.StepTime)
 	fmt.Println("RC+OP utilization higher:", full.FixedUtilization > bare.FixedUtilization)
 	// Output:

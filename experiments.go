@@ -56,29 +56,39 @@ func profiledModels() []Model { return []Model{VGG19, AlexNet, DCGAN} }
 // figure therefore produce bit-identical tables (the determinism each
 // simulation needs lives inside its own engine; see internal/runner).
 
-// runJobs evaluates simulation jobs concurrently, returning results in
-// job order.
-func runJobs(jobs []func() (Result, error)) ([]Result, error) {
-	return runner.Map(context.Background(), len(jobs), 0,
-		func(_ context.Context, i int) (Result, error) { return jobs[i]() })
-}
-
-// runGrid simulates every (model, configuration) cell of a figure's
-// matrix concurrently; the result is indexed [model][config].
-func runGrid(models []Model, configs []Config) ([][]Result, error) {
-	nc := len(configs)
-	flat, err := runner.Map(context.Background(), len(models)*nc, 0,
-		func(_ context.Context, i int) (Result, error) {
-			return Run(configs[i%nc], models[i/nc])
-		})
+// runCells simulates a figure's (model, column) matrix of cells through
+// BatchRun; cell builds the cell of one model in column j. The result
+// is indexed [model][column].
+func runCells(models []Model, cols int, cell func(m Model, j int) BatchCell) ([][]Result, error) {
+	cells := make([]BatchCell, 0, len(models)*cols)
+	for _, m := range models {
+		for j := 0; j < cols; j++ {
+			cells = append(cells, cell(m, j))
+		}
+	}
+	flat, err := BatchRun(cells)
 	if err != nil {
 		return nil, err
 	}
 	grid := make([][]Result, len(models))
 	for mi := range grid {
-		grid[mi] = flat[mi*nc : (mi+1)*nc]
+		grid[mi] = flat[mi*cols : (mi+1)*cols]
 	}
 	return grid, nil
+}
+
+// runJobs evaluates simulation jobs concurrently, returning results in
+// job order — for the figures that mix a run outside the cell grid
+// (Fig. 10's Neurocube, E1's GPU-host Hetero PIM) into their columns.
+func runJobs(jobs []func() (Result, error)) ([]Result, error) {
+	return runner.Map(context.Background(), len(jobs), 0,
+		func(_ context.Context, i int) (Result, error) { return jobs[i]() })
+}
+
+// configCells is the runCells column builder of a (model, platform)
+// matrix.
+func configCells(configs []Config) func(Model, int) BatchCell {
+	return func(m Model, j int) BatchCell { return BatchCell{Config: configs[j], Model: m} }
 }
 
 // configIndex finds a configuration's column in a figure's config list.
@@ -231,7 +241,7 @@ func Fig8ExecTime() (*Table, error) {
 		Columns: []string{"Model", "Config", "Step", "Operation", "DataMove", "Sync", "vs Hetero"},
 	}
 	models, configs := Models(), Configs()
-	grid, err := runGrid(models, configs)
+	grid, err := runCells(models, len(configs), configCells(configs))
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +271,7 @@ func Fig9Energy() (*Table, error) {
 		Columns: []string{"Model", "Config", "Energy", "AvgPower", "Normalized"},
 	}
 	models, configs := Models(), Configs()
-	grid, err := runGrid(models, configs)
+	grid, err := runCells(models, len(configs), configCells(configs))
 	if err != nil {
 		return nil, err
 	}
@@ -305,6 +315,18 @@ func Fig10Neurocube() (*Table, error) {
 	return t, nil
 }
 
+// paperFreqs are the PLL multipliers of Section VI-D (Figs. 11, 17).
+var paperFreqs = []float64{1, 2, 4}
+
+// freqCells is the runCells column builder of Figs. 11 and 17: the GPU
+// baseline, then Hetero PIM at each of paperFreqs.
+func freqCells(m Model, j int) BatchCell {
+	if j == 0 {
+		return BatchCell{Config: ConfigGPU, Model: m}
+	}
+	return BatchCell{Config: ConfigHeteroPIM, Model: m, FreqScale: paperFreqs[j-1]}
+}
+
 // Fig11FreqScaling reproduces the 1x/2x/4x frequency-scaling study.
 func Fig11FreqScaling() (*Table, error) {
 	t := &Table{
@@ -312,25 +334,14 @@ func Fig11FreqScaling() (*Table, error) {
 		Columns: []string{"Model", "Freq", "Step", "Operation", "DataMove", "Sync", "GPU/Hetero"},
 	}
 	models := Models()
-	freqs := []float64{1, 2, 4}
-	stride := 1 + len(freqs)
-	jobs := make([]func() (Result, error), 0, stride*len(models))
-	for _, m := range models {
-		m := m
-		jobs = append(jobs, func() (Result, error) { return Run(ConfigGPU, m) })
-		for _, f := range freqs {
-			f := f
-			jobs = append(jobs, func() (Result, error) { return RunScaled(ConfigHeteroPIM, m, f) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := runCells(models, 1+len(paperFreqs), freqCells)
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		gpu := results[stride*mi]
-		for fi, f := range freqs {
-			r := results[stride*mi+1+fi]
+		gpu := grid[mi][0]
+		for fi, f := range paperFreqs {
+			r := grid[mi][1+fi]
 			t.AddRow(string(m), fmt.Sprintf("%gx", f),
 				report.Seconds(r.StepTime),
 				report.Seconds(r.Breakdown.Operation),
@@ -352,21 +363,16 @@ func Fig12ProgScaling() (*Table, error) {
 	}
 	models := Models()
 	procs := []int{1, 4, 16}
-	jobs := make([]func() (Result, error), 0, len(procs)*len(models))
-	for _, m := range models {
-		for _, n := range procs {
-			m, n := m, n
-			jobs = append(jobs, func() (Result, error) { return RunHeteroProcessors(m, n) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := runCells(models, len(procs), func(m Model, j int) BatchCell {
+		return BatchCell{Model: m, Processors: procs[j]}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		base := results[len(procs)*mi]
+		base := grid[mi][0]
 		for ni, n := range procs {
-			r := results[len(procs)*mi+ni]
+			r := grid[mi][ni]
 			t.AddRow(string(m), fmt.Sprintf("%dP", n),
 				report.Seconds(r.StepTime),
 				report.Percent(r.FixedUtilization),
@@ -393,24 +399,10 @@ func softwareVariants() []struct {
 	}
 }
 
-// runVariantMatrix simulates every (model, RC/OP variant) cell
-// concurrently; results are indexed [model][variant] in
-// softwareVariants order.
-func runVariantMatrix(models []Model) ([][]Result, error) {
-	vs := softwareVariants()
-	nv := len(vs)
-	flat, err := runner.Map(context.Background(), len(models)*nv, 0,
-		func(_ context.Context, i int) (Result, error) {
-			return RunVariant(models[i/nv], vs[i%nv].V)
-		})
-	if err != nil {
-		return nil, err
-	}
-	grid := make([][]Result, len(models))
-	for mi := range grid {
-		grid[mi] = flat[mi*nv : (mi+1)*nv]
-	}
-	return grid, nil
+// variantCells is the runCells column builder of the Section VI-E
+// studies: one Hetero PIM cell per softwareVariants entry.
+func variantCells(m Model, j int) BatchCell {
+	return BatchCell{Model: m, Variant: &softwareVariants()[j].V}
 }
 
 // Fig13SoftwareImpact reproduces the execution-time software study.
@@ -420,7 +412,7 @@ func Fig13SoftwareImpact() (*Table, error) {
 		Columns: []string{"Model", "Variant", "Step", "Sync", "Speedup vs no-RC/no-OP"},
 	}
 	models := Models()
-	grid, err := runVariantMatrix(models)
+	grid, err := runCells(models, len(softwareVariants()), variantCells)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +435,7 @@ func Fig14SoftwareEnergy() (*Table, error) {
 		Columns: []string{"Model", "Variant", "Energy", "Normalized"},
 	}
 	models := Models()
-	grid, err := runVariantMatrix(models)
+	grid, err := runCells(models, len(softwareVariants()), variantCells)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +458,7 @@ func Fig15Utilization() (*Table, error) {
 		Columns: []string{"Model", "Variant", "Utilization"},
 	}
 	models := Models()
-	grid, err := runVariantMatrix(models)
+	grid, err := runCells(models, len(softwareVariants()), variantCells)
 	if err != nil {
 		return nil, err
 	}
@@ -510,25 +502,14 @@ func Fig17EDP() (*Table, error) {
 		Columns: []string{"Model", "Freq", "EDP(J*s)", "HeteroPower", "GPUPower/HeteroPower"},
 	}
 	models := Models()
-	freqs := []float64{1, 2, 4}
-	stride := 1 + len(freqs)
-	jobs := make([]func() (Result, error), 0, stride*len(models))
-	for _, m := range models {
-		m := m
-		jobs = append(jobs, func() (Result, error) { return Run(ConfigGPU, m) })
-		for _, f := range freqs {
-			f := f
-			jobs = append(jobs, func() (Result, error) { return RunScaled(ConfigHeteroPIM, m, f) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := runCells(models, 1+len(paperFreqs), freqCells)
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		gpu := results[stride*mi]
-		for fi, f := range freqs {
-			r := results[stride*mi+1+fi]
+		gpu := grid[mi][0]
+		for fi, f := range paperFreqs {
+			r := grid[mi][1+fi]
 			t.AddRow(string(m), fmt.Sprintf("%gx", f),
 				fmt.Sprintf("%.3g", r.EDP),
 				report.Watts(r.AvgPower),

@@ -76,20 +76,6 @@ func ExtGPUHost() (*Table, error) {
 	return t, nil
 }
 
-// RunWithBatch simulates a model at a non-default batch size on one
-// configuration.
-func RunWithBatch(config Config, model Model, batch int) (Result, error) {
-	g, err := nn.BuildWithBatch(model, batch)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.Run(config, g, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
-}
-
 // ExtBatchSweep sweeps AlexNet's batch size and reports where the
 // Hetero PIM advantage over the GPU moves.
 func ExtBatchSweep() (*Table, error) {
@@ -98,14 +84,13 @@ func ExtBatchSweep() (*Table, error) {
 		Columns: []string{"Batch", "GPU step", "Hetero step", "GPU/Hetero", "Hetero util", "Hetero energy"},
 	}
 	batches := []int{8, 16, 32, 64, 128}
-	jobs := make([]func() (Result, error), 0, 2*len(batches))
+	cells := make([]BatchCell, 0, 2*len(batches))
 	for _, batch := range batches {
-		batch := batch
-		jobs = append(jobs,
-			func() (Result, error) { return RunWithBatch(ConfigGPU, AlexNet, batch) },
-			func() (Result, error) { return RunWithBatch(ConfigHeteroPIM, AlexNet, batch) })
+		cells = append(cells,
+			BatchCell{Config: ConfigGPU, Model: AlexNet, BatchSize: batch},
+			BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: batch})
 	}
-	results, err := runJobs(jobs)
+	results, err := BatchRun(cells)
 	if err != nil {
 		return nil, err
 	}

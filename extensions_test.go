@@ -36,14 +36,8 @@ func TestGPUHostHetero(t *testing.T) {
 }
 
 func TestBatchSweep(t *testing.T) {
-	small, err := RunWithBatch(ConfigHeteroPIM, AlexNet, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := RunWithBatch(ConfigHeteroPIM, AlexNet, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := runCell(t, BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 8})
+	big := runCell(t, BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 128})
 	// 16x the batch must cost substantially more wall clock but less
 	// than 32x (sub-linear thanks to better unit utilization and
 	// amortized overheads).
@@ -51,11 +45,11 @@ func TestBatchSweep(t *testing.T) {
 	if ratio < 8 || ratio > 32 {
 		t.Errorf("batch 128/8 step-time ratio = %.1f, want roughly linear", ratio)
 	}
-	if _, err := RunWithBatch(ConfigHeteroPIM, AlexNet, -1); err != nil {
+	if _, err := BatchRun([]BatchCell{{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: -1}}); err != nil {
 		t.Fatal("non-positive batch should fall back to the default, got error:", err)
 	}
 	// Non-CNN models are batch-fixed.
-	if _, err := RunWithBatch(ConfigHeteroPIM, LSTM, 64); err == nil {
+	if _, err := BatchRun([]BatchCell{{Config: ConfigHeteroPIM, Model: LSTM, BatchSize: 64}}); err == nil {
 		t.Fatal("LSTM batch override must error")
 	}
 }

@@ -5,11 +5,13 @@
 //
 // The package exposes three layers:
 //
-//   - Simulation: Run and RunVariant simulate steady-state NN training
-//     of the paper's seven workload models on the five evaluated
-//     platform configurations (CPU, GPU, Progr PIM, Fixed PIM, Hetero
-//     PIM), returning step time, the Fig. 8 breakdown, whole-system
-//     energy and fixed-function utilization.
+//   - Simulation: a BatchCell names one simulation of the paper's
+//     evaluation grid — one of the seven workload models on one of the
+//     five platform configurations (CPU, GPU, Progr PIM, Fixed PIM,
+//     Hetero PIM), optionally at another frequency, batch size, RC/OP
+//     variant, processor count or stack count. Run, RunScaled, BatchRun
+//     and RunObserved simulate cells, returning step time, the Fig. 8
+//     breakdown, whole-system energy and fixed-function utilization.
 //
 //   - Experiments: Experiments lists a runner per paper table/figure
 //     (Table I, Figs. 2 and 8-17); each regenerates the corresponding
@@ -21,9 +23,8 @@
 package heteropim
 
 import (
-	"fmt"
-
 	"heteropim/internal/core"
+	"heteropim/internal/device"
 	"heteropim/internal/energy"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
@@ -48,7 +49,7 @@ func Parallelism() int { return runner.Workers() }
 // fingerprint of (graph, hardware configuration, effective options), so
 // repeated cells — across figures, sweeps and CLI invocations sharing a
 // cache directory — collapse to one live run. Cache hits are
-// bit-identical to cold runs. Instrumented runs (RunInstrumented, trace
+// bit-identical to cold runs. Instrumented runs (RunObserved, trace
 // or census options) always execute live and never touch the cache.
 
 // EnvCacheDir is the environment variable naming the on-disk cache
@@ -192,41 +193,27 @@ func wrap(r core.Result) Result {
 }
 
 // Run simulates steady-state training of model on config at PIM/stack
-// frequency scale 1.
+// frequency scale 1: the plain cell BatchCell{Config: config, Model:
+// model}. Cells with more axes (batch size, RC/OP variant, processor
+// count, stacks) run through BatchRun.
 func Run(config Config, model Model) (Result, error) {
-	return RunScaled(config, model, 1)
+	return BatchCell{Config: config, Model: model}.run(nil)
 }
 
 // RunScaled is Run at a PIM/stack frequency multiplier (1, 2 or 4 in
 // the paper's Section VI-D study).
 func RunScaled(config Config, model Model, freqScale float64) (Result, error) {
-	r, err := core.BuildAndRun(config, model, freqScale)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
+	return BatchCell{Config: config, Model: model, FreqScale: freqScale}.run(nil)
 }
 
-// Variant toggles the two runtime techniques of Section VI-E.
+// Variant toggles the two runtime techniques of Section VI-E; a
+// BatchCell with a Variant runs Hetero PIM with them individually
+// toggled (Figs. 13-15).
 type Variant struct {
 	// RecursiveKernels enables RC (Fig. 6 recursive PIM kernels).
 	RecursiveKernels bool
 	// OperationPipeline enables OP (the cross-step operation pipeline).
 	OperationPipeline bool
-}
-
-// RunVariant simulates the Hetero PIM platform with the runtime
-// techniques individually toggled (Figs. 13-15).
-func RunVariant(model Model, v Variant) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.RunHeteroVariant(g, v.RecursiveKernels, v.OperationPipeline, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
 }
 
 // RunNeurocube simulates the Neurocube comparison point (Fig. 10).
@@ -235,22 +222,6 @@ func RunNeurocube(model Model) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return wrap(core.RunNeurocubeDefault(g)), nil
-}
-
-// RunHeteroProcessors simulates Hetero PIM with n programmable PIM
-// processors at constant logic-die area (Fig. 12: 1, 4, 16).
-func RunHeteroProcessors(model Model, n int) (Result, error) {
-	if n < 1 {
-		return Result{}, fmt.Errorf("heteropim: need at least one processor, got %d", n)
-	}
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.RunPIM(g, hw.HeteroConfigWithProcessors(n, 1), core.HeteroOptions())
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	return wrap(core.RunNeurocube(g, device.DefaultNeurocube(), cfg)), nil
 }

@@ -53,14 +53,8 @@ func TestRunScaledFaster(t *testing.T) {
 }
 
 func TestRunVariantOrdering(t *testing.T) {
-	base, err := RunVariant(AlexNet, Variant{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := RunVariant(AlexNet, Variant{RecursiveKernels: true, OperationPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runCell(t, BatchCell{Model: AlexNet, Variant: &Variant{}})
+	full := runCell(t, BatchCell{Model: AlexNet, Variant: &Variant{RecursiveKernels: true, OperationPipeline: true}})
 	if full.StepTime >= base.StepTime {
 		t.Fatal("RC+OP must beat the bare variant")
 	}
@@ -81,15 +75,12 @@ func TestRunNeurocubeAndProcessors(t *testing.T) {
 	if nc.StepTime <= het.StepTime {
 		t.Fatal("Neurocube must be slower than Hetero PIM")
 	}
-	p16, err := RunHeteroProcessors(AlexNet, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p16 := runCell(t, BatchCell{Model: AlexNet, Processors: 16})
 	if p16.StepTime <= 0 {
 		t.Fatal("16P run degenerate")
 	}
-	if _, err := RunHeteroProcessors(AlexNet, 0); err == nil {
-		t.Fatal("zero processors must error")
+	if _, err := BatchRun([]BatchCell{{Model: AlexNet, Processors: -1}}); err == nil {
+		t.Fatal("a negative processor count must error")
 	}
 }
 

@@ -117,7 +117,7 @@ func TestUnknownOpTypeFallback(t *testing.T) {
 			hw.ConfigHeteroPIM: 0x3fe150c9fd774e95,
 			hw.ConfigCPU:       0x3fccb9b6d4bf2a1f,
 		} {
-			r, err := Run(kind, g, 1)
+			r, err := runPaper(kind, g, 1)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, kind, err)
 			}

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
-	"heteropim/internal/sim"
 )
 
 // HeteroOptions returns the full paper runtime: profiling-based
@@ -15,99 +13,48 @@ func HeteroOptions() Options {
 	return Options{RC: true, OP: true, UseSelection: true}
 }
 
-// Run simulates steady-state training of a model on one of the five
-// evaluated platform configurations (Section VI) at the given PIM/stack
-// frequency scale.
-func Run(kind hw.ConfigKind, g *nn.Graph, freqScale float64) (Result, error) {
-	cfg := hw.PaperConfigScaled(kind, freqScale)
-	return RunOn(kind, g, cfg)
-}
-
-// RunOn is Run with an explicit (possibly customized) configuration.
-func RunOn(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig) (Result, error) {
-	return RunOnWithCollector(kind, g, cfg, nil)
-}
-
-// RunOnWithCollector is RunOn with the observability layer attached:
-// the run's task spans, queue depths and scheduling counters are
-// delivered to c (nil behaves exactly like RunOn — attaching a
-// collector never changes simulation results).
-func RunOnWithCollector(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) (Result, error) {
-	switch kind {
-	case hw.ConfigCPU:
-		return RunCPUWithCollector(g, cfg, c), nil
-	case hw.ConfigGPU:
-		return RunGPUWithCollector(g, cfg, c), nil
-	}
-	opts, ok := pimOptionsFor(kind)
-	if !ok {
-		return Result{}, fmt.Errorf("core: unknown configuration %v", kind)
-	}
-	opts.Collector = c
-	return RunPIM(g, cfg, opts)
-}
-
-// pimOptionsFor maps a PIM platform kind to its executor options; ok is
-// false for the non-PIM kinds.
-func pimOptionsFor(kind hw.ConfigKind) (Options, bool) {
+// PlatformOptions is the executor-options table of the five evaluated
+// platforms (Section VI): the runtime each PIM platform ships with. The
+// CPU and GPU baselines have no executor options, so they (and unknown
+// kinds, which RunOn rejects) get the zero value. Callers layer their
+// overrides (RC/OP toggles, stacks, a collector) on top and hand the
+// result to RunOn.
+func PlatformOptions(kind hw.ConfigKind) Options {
 	switch kind {
 	case hw.ConfigProgrPIM:
 		// No runtime scheduling: every op runs on the programmable
 		// cores, as wide as its parallelism allows, no pipeline.
-		return Options{NoCPUFallback: true, WideProgOps: true}, true
-	case hw.ConfigFixedPIM:
-		// Offloadable ops on the fixed-function pool, everything else
-		// (and all residual phases) on the CPU; no runtime scheduling.
-		return Options{}, true
+		return Options{NoCPUFallback: true, WideProgOps: true}
 	case hw.ConfigHeteroPIM:
-		return HeteroOptions(), true
+		return HeteroOptions()
 	default:
-		return Options{}, false
+		// Fixed PIM: offloadable ops on the fixed-function pool,
+		// everything else (and all residual phases) on the CPU; no
+		// runtime scheduling.
+		return Options{}
 	}
 }
 
-// RunHeteroVariant simulates the Hetero PIM platform with the runtime
-// techniques individually toggled (the software-impact study of
-// Section VI-E: Figs. 13-15).
-func RunHeteroVariant(g *nn.Graph, rc, op bool, freqScale float64) (Result, error) {
-	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, freqScale)
-	opts := HeteroOptions()
-	opts.RC = rc
-	opts.OP = op
-	res, err := RunPIM(g, cfg, opts)
-	if err != nil {
-		return res, err
-	}
-	res.Config.Name = fmt.Sprintf("Hetero PIM(RC=%v,OP=%v)", rc, op)
-	return res, nil
-}
-
-// RunNeurocubeDefault runs the Neurocube comparison point (Fig. 10).
-func RunNeurocubeDefault(g *nn.Graph) Result {
-	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
-	return RunNeurocube(g, device.DefaultNeurocube(), cfg)
-}
-
-// RunAll runs a model across the five platform configurations and
-// returns results in figure order.
-func RunAll(g *nn.Graph) ([]Result, error) {
-	out := make([]Result, 0, 5)
-	for _, kind := range hw.AllConfigKinds() {
-		r, err := Run(kind, g, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s on %v: %w", g.Model, kind, err)
+// RunOn simulates steady-state training of g on one of the five
+// evaluated platform kinds under an explicit (possibly customized)
+// configuration and options — the one dispatcher every platform-kind
+// entry point goes through. The PIM kinds run RunPIM with opts as
+// given; the serial CPU and GPU baselines read only opts.Collector
+// (their instrumentation) and reject opts.Stacks > 1, since they have
+// no stacks to shard across. Attaching a collector never changes the
+// result.
+func RunOn(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
+	switch kind {
+	case hw.ConfigCPU, hw.ConfigGPU:
+		if opts.Stacks > 1 {
+			return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
 		}
-		out = append(out, r)
+		if kind == hw.ConfigCPU {
+			return runSerial("cpu", g, cfg, opts.Collector, runCPUSerial), nil
+		}
+		return runSerial("gpu", g, cfg, opts.Collector, runGPUSerial), nil
+	case hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM:
+		return RunPIM(g, cfg, opts)
 	}
-	return out, nil
-}
-
-// BuildAndRun is a convenience for tools: build the model, run one
-// configuration.
-func BuildAndRun(kind hw.ConfigKind, model nn.ModelName, freqScale float64) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(kind, g, freqScale)
+	return Result{}, fmt.Errorf("core: unknown configuration %v", kind)
 }

@@ -5,9 +5,35 @@ import (
 	"strings"
 	"testing"
 
+	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
+
+// runPaper runs g on one of the paper's five platforms at a PIM/stack
+// frequency scale: RunOn under the paper configuration and the
+// platform's options.
+func runPaper(kind hw.ConfigKind, g *nn.Graph, freqScale float64) (Result, error) {
+	return RunOn(kind, g, hw.PaperConfigScaled(kind, freqScale), PlatformOptions(kind))
+}
+
+// runModel builds a named model at its paper batch and runs it
+// (runPaper).
+func runModel(kind hw.ConfigKind, m nn.ModelName, freqScale float64) (Result, error) {
+	g, err := nn.Build(m)
+	if err != nil {
+		return Result{}, err
+	}
+	return runPaper(kind, g, freqScale)
+}
+
+// runVariant runs the paper's Hetero PIM with the runtime techniques
+// individually toggled (Section VI-E).
+func runVariant(g *nn.Graph, rc, op bool) (Result, error) {
+	opts := HeteroOptions()
+	opts.RC, opts.OP = rc, op
+	return RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
+}
 
 // smallGraph builds a deterministic toy training step for fast executor
 // tests: two conv-ish offloadable ops, a conditional op, and an update.
@@ -30,7 +56,7 @@ func smallGraph() *nn.Graph {
 func TestRunPIMBreakdownSumsToStepTime(t *testing.T) {
 	g := smallGraph()
 	for _, kind := range []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM} {
-		r, err := Run(kind, g, 1)
+		r, err := runPaper(kind, g, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -49,7 +75,7 @@ func TestRunPIMBreakdownSumsToStepTime(t *testing.T) {
 func TestSerialExecutorBreakdowns(t *testing.T) {
 	g := smallGraph()
 	for _, kind := range []hw.ConfigKind{hw.ConfigCPU, hw.ConfigGPU} {
-		r, err := Run(kind, g, 1)
+		r, err := runPaper(kind, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +93,7 @@ func TestHeteroFasterThanCPUAndBaselines(t *testing.T) {
 		}
 		results := map[hw.ConfigKind]Result{}
 		for _, kind := range hw.AllConfigKinds() {
-			r, err := Run(kind, g, 1)
+			r, err := runPaper(kind, g, 1)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", m, kind, err)
 			}
@@ -104,11 +130,11 @@ func TestGPURelationshipsMatchPaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpu, err := Run(hw.ConfigGPU, g, 1)
+		gpu, err := runPaper(hw.ConfigGPU, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		het, err := Run(hw.ConfigHeteroPIM, g, 1)
+		het, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,19 +155,19 @@ func TestGPURelationshipsMatchPaper(t *testing.T) {
 
 func TestRCAndOPImproveVGG(t *testing.T) {
 	g := nn.VGG19()
-	base, err := RunHeteroVariant(g, false, false, 1)
+	base, err := runVariant(g, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunHeteroVariant(g, true, false, 1)
+	rc, err := runVariant(g, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := RunHeteroVariant(g, false, true, 1)
+	op, err := runVariant(g, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := RunHeteroVariant(g, true, true, 1)
+	both, err := runVariant(g, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +197,7 @@ func TestFrequencyScalingMonotone(t *testing.T) {
 	g := nn.AlexNet()
 	var prev hw.Seconds = math.Inf(1)
 	for _, f := range []float64{1, 2, 4} {
-		r, err := Run(hw.ConfigHeteroPIM, g, f)
+		r, err := runPaper(hw.ConfigHeteroPIM, g, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +216,11 @@ func TestFrequencyScalingSaturatesForVGG(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Run(hw.ConfigHeteroPIM, g, 2)
+		r2, err := runPaper(hw.ConfigHeteroPIM, g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r4, err := Run(hw.ConfigHeteroPIM, g, 4)
+		r4, err := runPaper(hw.ConfigHeteroPIM, g, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,24 +304,29 @@ func TestRunPIMRejectsInvalidConfig(t *testing.T) {
 
 func TestRunUnknownConfigKind(t *testing.T) {
 	g := smallGraph()
-	if _, err := Run(hw.ConfigKind(42), g, 1); err == nil {
+	if _, err := runPaper(hw.ConfigKind(42), g, 1); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }
 
-func TestRunAllAndBuildAndRun(t *testing.T) {
+// TestRunOnAllPlatforms runs a graph on each of the five platform
+// kinds through the one dispatcher, and a named model through the
+// build-then-run path the tools use.
+func TestRunOnAllPlatforms(t *testing.T) {
 	g := smallGraph()
-	rs, err := RunAll(g)
-	if err != nil {
+	for _, kind := range hw.AllConfigKinds() {
+		r, err := runPaper(kind, g, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if r.Config.Name != kind.String() || r.StepTime <= 0 {
+			t.Errorf("%v: config %q, step %g", kind, r.Config.Name, r.StepTime)
+		}
+	}
+	if _, err := runModel(hw.ConfigCPU, nn.AlexNetName, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 5 {
-		t.Fatalf("RunAll returned %d results", len(rs))
-	}
-	if _, err := BuildAndRun(hw.ConfigCPU, nn.AlexNetName, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildAndRun(hw.ConfigCPU, "nope", 1); err == nil {
+	if _, err := runModel(hw.ConfigCPU, "nope", 1); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
@@ -307,8 +338,8 @@ func TestNeurocubeComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nc := RunNeurocubeDefault(g)
-		het, err := Run(hw.ConfigHeteroPIM, g, 1)
+		nc := RunNeurocube(g, device.DefaultNeurocube(), hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1))
+		het, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,11 +351,11 @@ func TestNeurocubeComparison(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := nn.AlexNet()
-	a, err := Run(hw.ConfigHeteroPIM, g, 1)
+	a, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(hw.ConfigHeteroPIM, g, 1)
+	b, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +452,7 @@ func TestStepTimeWithinAnalyticBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		het, err := Run(hw.ConfigHeteroPIM, g, 1)
+		het, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +518,7 @@ func TestNonCNNModelsRunOnAllConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range hw.AllConfigKinds() {
-			r, err := Run(kind, g, 1)
+			r, err := runPaper(kind, g, 1)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", m, kind, err)
 			}

@@ -24,12 +24,14 @@ func TestInstrumentedRunIdentical(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := hw.PaperConfigScaled(kind, 1)
-			plain, err := RunOn(kind, g, cfg)
+			plain, err := RunOn(kind, g, cfg, PlatformOptions(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := metrics.NewCollector()
-			instrumented, err := RunOnWithCollector(kind, g, cfg, c)
+			opts := PlatformOptions(kind)
+			opts.Collector = c
+			instrumented, err := RunOn(kind, g, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -243,19 +243,13 @@ func stackMaxTemp(cfg hw.SystemConfig, opts Options) (float64, error) {
 	return thermal.PlacementMaxTemp(stack, placement, cfg.FixedPIM, scale)
 }
 
-// RunMulti is the multi-stack counterpart of RunOn: it runs the graph's
-// global batch data-parallel across `stacks` stacks of the given PIM
-// platform with the chosen all-reduce schedule. stacks <= 1 falls back
-// to the single-stack RunOn path (bit-identical to it); the CPU and GPU
+// RunMulti runs the graph's global batch data-parallel across `stacks`
+// stacks of the given platform with the chosen all-reduce schedule:
+// RunOn under the platform's options plus the stack axis. stacks <= 1
+// is the single-stack run (bit-identical to it); the CPU and GPU
 // baselines have no stacks to shard across and are rejected.
 func RunMulti(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, stacks int, sched ReduceSchedule) (Result, error) {
-	if stacks <= 1 {
-		return RunOn(kind, g, cfg)
-	}
-	opts, ok := pimOptionsFor(kind)
-	if !ok {
-		return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
-	}
+	opts := PlatformOptions(kind)
 	opts.Stacks, opts.AllReduce = stacks, sched
-	return RunPIM(g, cfg, opts)
+	return RunOn(kind, g, cfg, opts)
 }

@@ -31,7 +31,7 @@ func heteroMultiOpts(stacks int, sched ReduceSchedule) Options {
 func TestRunMultiSingleStackIsRunOn(t *testing.T) {
 	g := multiGraph(t, 8)
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
-	base, err := RunOn(hw.ConfigHeteroPIM, g, cfg)
+	base, err := RunOn(hw.ConfigHeteroPIM, g, cfg, PlatformOptions(hw.ConfigHeteroPIM))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestRandomGraphsNeverDeadlock(t *testing.T) {
 			t.Fatalf("trial %d: generator produced an invalid graph: %v", trial, err)
 		}
 		for _, kind := range kinds {
-			r, err := Run(kind, g, 1)
+			r, err := runPaper(kind, g, 1)
 			if err != nil {
 				t.Fatalf("trial %d on %v: %v", trial, kind, err)
 			}
@@ -150,11 +150,11 @@ func TestRandomGraphsWorkConservation(t *testing.T) {
 func TestRandomGraphsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 50)
-	a, err := Run(hw.ConfigHeteroPIM, g, 1)
+	a, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(hw.ConfigHeteroPIM, g, 1)
+	b, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestZeroCostOpsComplete(t *testing.T) {
 		prev = added.ID
 	}
 	for _, kind := range []hw.ConfigKind{hw.ConfigCPU, hw.ConfigGPU, hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM} {
-		r, err := Run(kind, g, 1)
+		r, err := runPaper(kind, g, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -34,25 +34,27 @@ func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 }
 
 // RunCPU executes every training operation on the host CPU, one
-// training step, serially (the paper's CPU baseline).
+// training step, serially (the paper's CPU baseline). Instrumented runs
+// go through RunOn with opts.Collector set: each op becomes a span on
+// the "cpu" track at its serial position in the step.
 func RunCPU(g *nn.Graph, cfg hw.SystemConfig) Result {
-	return RunCPUWithCollector(g, cfg, nil)
+	return runSerial("cpu", g, cfg, nil, runCPUSerial)
 }
 
-// RunCPUWithCollector is RunCPU with instrumentation: each op becomes a
-// span on the "cpu" track at its serial position in the step.
-// Uninstrumented calls go through the result cache; instrumented ones
+// runSerial runs one of the serial executors. Uninstrumented calls go
+// through the result cache under the executor's tag; instrumented ones
 // bypass it (see RunPIM).
-func RunCPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
+func runSerial(tag string, g *nn.Graph, cfg hw.SystemConfig, c sim.Collector,
+	run func(*nn.Graph, hw.SystemConfig, sim.Collector) Result) Result {
 	if c == nil && !resultCacheOff.Load() {
-		fp := fingerprintRun("cpu", g, cfg, Options{}, nil)
-		res, _ := cachedResult(fp, func() (Result, error) { return runCPUSerial(g, cfg, nil), nil })
+		fp := fingerprintRun(tag, g, cfg, Options{}, nil)
+		res, _ := cachedResult(fp, func() (Result, error) { return run(g, cfg, nil), nil })
 		return res
 	}
-	return runCPUSerial(g, cfg, c)
+	return run(g, cfg, c)
 }
 
-// runCPUSerial is the live run behind RunCPU/RunCPUWithCollector.
+// runCPUSerial is the live run behind the CPU baseline.
 func runCPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds
@@ -86,25 +88,14 @@ func gpuEff(g *nn.Graph) float64 {
 // RunGPU executes every training operation on the GPU, one training
 // step, serially, charging kernel launches and the unhidden host<->GPU
 // transfer (the paper's GPU baseline; Section VI-A's data-movement bars
-// for GPU are exactly the unhidden transfer time).
+// for GPU are exactly the unhidden transfer time). Instrumented runs go
+// through RunOn: kernels become spans on the "gpu" track, the unhidden
+// transfer one span on the "pcie" track.
 func RunGPU(g *nn.Graph, cfg hw.SystemConfig) Result {
-	return RunGPUWithCollector(g, cfg, nil)
+	return runSerial("gpu", g, cfg, nil, runGPUSerial)
 }
 
-// RunGPUWithCollector is RunGPU with instrumentation: kernels become
-// spans on the "gpu" track, the unhidden host<->GPU transfer one span
-// on the "pcie" track. Uninstrumented calls go through the result
-// cache; instrumented ones bypass it (see RunPIM).
-func RunGPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
-	if c == nil && !resultCacheOff.Load() {
-		fp := fingerprintRun("gpu", g, cfg, Options{}, nil)
-		res, _ := cachedResult(fp, func() (Result, error) { return runGPUSerial(g, cfg, nil), nil })
-		return res
-	}
-	return runGPUSerial(g, cfg, c)
-}
-
-// runGPUSerial is the live run behind RunGPU/RunGPUWithCollector.
+// runGPUSerial is the live run behind the GPU baseline.
 func runGPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds

@@ -22,12 +22,12 @@ func TestTemplateRunsMatchScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM} {
-			templated, err := Run(kind, g, 1)
+			templated, err := runPaper(kind, g, 1)
 			if err != nil {
 				t.Fatalf("%s on %v (templates): %v", m, kind, err)
 			}
 			prev := setTaskTemplates(false)
-			scratch, err := Run(kind, g, 1)
+			scratch, err := runPaper(kind, g, 1)
 			setTaskTemplates(prev)
 			if err != nil {
 				t.Fatalf("%s on %v (scratch): %v", m, kind, err)
@@ -50,12 +50,12 @@ func TestTemplateArenaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Run(hw.ConfigHeteroPIM, g, 1)
+	first, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(hw.ConfigHeteroPIM, g, 1)
+		again, err := runPaper(hw.ConfigHeteroPIM, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,25 @@ import (
 	"testing"
 
 	"heteropim/internal/core"
+	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
 
 func run(t testing.TB, kind hw.ConfigKind, m nn.ModelName) core.Result {
 	t.Helper()
-	r, err := core.BuildAndRun(kind, m, 1)
+	return runScaled(t, kind, m, 1)
+}
+
+// runScaled simulates a named model on one of the paper's platforms at
+// a PIM/stack frequency scale, under the platform's own runtime.
+func runScaled(t testing.TB, kind hw.ConfigKind, m nn.ModelName, freqScale float64) core.Result {
+	t.Helper()
+	g, err := nn.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.RunOn(kind, g, hw.PaperConfigScaled(kind, freqScale), core.PlatformOptions(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +77,7 @@ func TestGPUPowerRatioAtHighFrequency(t *testing.T) {
 	// Fig. 17(b): GPU draws 1.5-2.6x more power than Hetero PIM at 4x.
 	for _, m := range nn.CNNModelNames() {
 		gpu := Evaluate(run(t, hw.ConfigGPU, m))
-		het4, err := core.BuildAndRun(hw.ConfigHeteroPIM, m, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hetRep := Evaluate(het4)
+		hetRep := Evaluate(runScaled(t, hw.ConfigHeteroPIM, m, 4))
 		if r := gpu.AvgPower / hetRep.AvgPower; r < 1.5 || r > 3.0 {
 			t.Errorf("%s: GPU/Hetero power at 4x = %.2f, want ~1.5-2.6", m, r)
 		}
@@ -82,11 +90,7 @@ func TestEDPBestAtHighFrequency(t *testing.T) {
 	for _, m := range nn.CNNModelNames() {
 		edp := map[float64]float64{}
 		for _, f := range []float64{1, 2, 4} {
-			r, err := core.BuildAndRun(hw.ConfigHeteroPIM, m, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edp[f] = Evaluate(r).EDP
+			edp[f] = Evaluate(runScaled(t, hw.ConfigHeteroPIM, m, f)).EDP
 		}
 		if edp[4] > edp[1] {
 			t.Errorf("%s: EDP at 4x (%.3g) worse than 1x (%.3g)", m, edp[4], edp[1])
@@ -100,11 +104,14 @@ func TestEDPBestAtHighFrequency(t *testing.T) {
 func TestRCAndOPReduceEnergy(t *testing.T) {
 	// Fig. 14: the runtime techniques reduce energy.
 	g := nn.VGG19()
-	base, err := core.RunHeteroVariant(g, false, false, 1)
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	bare := core.HeteroOptions()
+	bare.RC, bare.OP = false, false
+	base, err := core.RunPIM(g, cfg, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.RunHeteroVariant(g, true, true, 1)
+	full, err := core.RunPIM(g, cfg, core.HeteroOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestPIMTrafficCheaperThanHostTraffic(t *testing.T) {
 
 func TestNeurocubeEnergyAccounted(t *testing.T) {
 	g := nn.AlexNet()
-	nc := core.RunNeurocubeDefault(g)
+	nc := core.RunNeurocube(g, device.DefaultNeurocube(), hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1))
 	rep := Evaluate(nc)
 	if rep.Parts.Neurocube <= 0 {
 		t.Fatal("Neurocube part missing from its own energy report")

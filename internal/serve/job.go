@@ -177,9 +177,7 @@ func (c cell) id() string {
 }
 
 // batchCell renders the cell in heteropim.BatchRun's input shape (both
-// `run` and the admission-coalescing window execute through BatchRun,
-// whose results are documented — and tested — to be bit-identical to
-// the per-cell Run* calls).
+// `run` and the admission-coalescing window execute this cell).
 func (c cell) batchCell() heteropim.BatchCell {
 	bc := heteropim.BatchCell{Config: c.config, Model: c.model, FreqScale: c.freqScale,
 		BatchSize: c.batchSize, Processors: c.processors}
@@ -257,12 +255,13 @@ func RequestFromBatch(bc heteropim.BatchCell) JobRequest {
 }
 
 // run executes the cell through the public API. Uninstrumented runs go
-// through BatchRun — bit-identical to the per-cell Run* entry points,
-// and riding the PR-3 result cache (and its singleflight); instrumented
-// runs record into m and always execute live.
+// through BatchRun, riding the result cache (and its singleflight);
+// instrumented runs record into m through RunObserved and always
+// execute live. Both resolve the same BatchCell, so their results are
+// bit-identical.
 func (c cell) run(m *heteropim.Metrics) (heteropim.Result, error) {
 	if c.instrument {
-		return heteropim.RunObserved(c.config, c.model, c.freqScale, m)
+		return heteropim.RunObserved(c.batchCell(), m)
 	}
 	results, err := heteropim.BatchRun([]heteropim.BatchCell{c.batchCell()})
 	if err != nil {

@@ -200,8 +200,8 @@ func ScenarioLoadGen(baseURL string, plan *heteropim.ScenarioPlan, clients int, 
 		}
 		rep.Cells = append(rep.Cells, LoadCell{Config: c.configName, Model: string(c.model)})
 	}
-	// Ground truth straight from the public batch API — documented (and
-	// tested) to be bit-identical to the per-cell Run* entry points.
+	// Ground truth straight from the public batch API, which resolves
+	// each cell exactly as a served job does.
 	results, err := heteropim.BatchRun(plan.Cells)
 	if err != nil {
 		return rep, err

@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"heteropim/internal/core"
+	"heteropim/internal/hw"
+	"heteropim/internal/nn"
 )
 
 func publicResultJSON(t *testing.T, r Result) string {
@@ -15,20 +19,22 @@ func publicResultJSON(t *testing.T, r Result) string {
 	return string(b)
 }
 
-// The zero Options must reproduce Run byte for byte — the degenerate
-// single-stack case routes through the unchanged executor.
+// A cell's zero-valued multi-stack and frequency axes must reproduce
+// Run byte for byte — the degenerate single-stack case routes through
+// the unchanged executor.
 func TestRunWithOptionsZeroValueIsRun(t *testing.T) {
 	base, err := Run(ConfigHeteroPIM, AlexNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{{}, {Stacks: 1}, {FreqScale: 1}} {
-		r, err := RunWithOptions(ConfigHeteroPIM, AlexNet, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if publicResultJSON(t, base) != publicResultJSON(t, r) {
-			t.Errorf("RunWithOptions(%+v) diverged from Run", o)
+	for _, c := range []BatchCell{
+		{Config: ConfigHeteroPIM, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 1},
+		{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 1},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 1, AllReduce: AllReduceTree},
+	} {
+		if publicResultJSON(t, base) != publicResultJSON(t, runCell(t, c)) {
+			t.Errorf("cell %+v diverged from Run", c)
 		}
 	}
 }
@@ -38,10 +44,7 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := RunWithOptions(ConfigHeteroPIM, VGG19, Options{Stacks: 4, AllReduce: AllReduceRing})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ring := runCell(t, BatchCell{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 4, AllReduce: AllReduceRing})
 	if ring.Stacks != 4 || ring.AllReduce != AllReduceRing {
 		t.Fatalf("labels: stacks=%d allreduce=%q", ring.Stacks, ring.AllReduce)
 	}
@@ -63,10 +66,7 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 	}
 	// Ring moves the same bytes in more, smaller phases; with VGG-19's
 	// large gradient it must synchronize faster than the tree.
-	tree, err := RunWithOptions(ConfigHeteroPIM, VGG19, Options{Stacks: 4, AllReduce: AllReduceTree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := runCell(t, BatchCell{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 4, AllReduce: AllReduceTree})
 	if ring.AllReduceTime >= tree.AllReduceTime {
 		t.Errorf("ring all-reduce %g not below tree %g for a large gradient",
 			ring.AllReduceTime, tree.AllReduceTime)
@@ -82,37 +82,50 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 }
 
 func TestRunWithOptionsRejects(t *testing.T) {
-	if _, err := RunWithOptions(ConfigCPU, AlexNet, Options{Stacks: 2}); err == nil {
-		t.Error("CPU multi-stack run accepted, want an error")
-	}
-	if _, err := RunWithOptions(ConfigHeteroPIM, AlexNet, Options{Stacks: 2, AllReduce: "butterfly"}); err == nil {
-		t.Error("unknown all-reduce schedule accepted, want an error")
+	for _, c := range []BatchCell{
+		{Config: ConfigCPU, Model: AlexNet, Stacks: 2},
+		{Config: ConfigGPU, Model: AlexNet, Stacks: 2},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: "butterfly"},
+		// An unknown schedule is rejected even where it would be unused.
+		{Config: ConfigHeteroPIM, Model: AlexNet, AllReduce: "butterfly"},
+	} {
+		if _, err := BatchRun([]BatchCell{c}); err == nil {
+			t.Errorf("BatchRun accepted %+v, want an error", c)
+		}
+		if _, err := RunObserved(c, NewMetrics()); err == nil {
+			t.Errorf("RunObserved accepted %+v, want an error", c)
+		}
 	}
 }
 
-// BatchCell.Stacks must match the direct RunWithOptions path bit for
-// bit, like every other cell axis.
+// BatchCell.Stacks must match a direct core.RunMulti call on the
+// cell's global-batch graph bit for bit, like every other cell axis.
 func TestBatchRunMultiStackCells(t *testing.T) {
 	cells := []BatchCell{
 		{Config: ConfigHeteroPIM, Model: AlexNet},
 		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceRing},
 		{Config: ConfigFixedPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceTree},
+		{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 64, FreqScale: 2, Stacks: 4},
 	}
 	got, err := BatchRun(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
-		var want Result
-		if c.Stacks > 1 {
-			want, err = RunWithOptions(c.Config, c.Model, Options{Stacks: c.Stacks, AllReduce: c.AllReduce})
-		} else {
-			want, err = Run(c.Config, c.Model)
-		}
+		g, err := nn.BuildWithBatch(c.Model, c.BatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if publicResultJSON(t, got[i]) != publicResultJSON(t, want) {
+		scale := c.FreqScale
+		if scale == 0 {
+			scale = 1
+		}
+		sched := core.ReduceSchedule(c.AllReduce)
+		r, err := core.RunMulti(c.Config, g, hw.PaperConfigScaled(c.Config, scale), c.Stacks, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if publicResultJSON(t, got[i]) != publicResultJSON(t, wrap(r)) {
 			t.Errorf("cell %d: batch result diverged from the direct run", i)
 		}
 	}

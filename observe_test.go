@@ -12,7 +12,7 @@ import (
 )
 
 // TestRunInstrumentedTimelineSchema is the acceptance test for the
-// `pimprof -timeline VGG-19 -config hetero` path: the instrumented
+// `pimprof -timeline VGG-19 -config hetero` path: the observed
 // hetero VGG-19 run must emit Chrome trace-event JSON that round-trips
 // through the schema (valid JSON, X/C/M phases only, named lanes,
 // non-negative timestamps) — and the Result must be bit-identical to
@@ -22,7 +22,8 @@ func TestRunInstrumentedTimelineSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := RunInstrumented(ConfigHeteroPIM, VGG19)
+	m := NewMetrics()
+	res, err := RunObserved(BatchCell{Config: ConfigHeteroPIM, Model: VGG19}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestRunInstrumentedTimelineSchema(t *testing.T) {
 // TestMetricsJSONAndAdvice checks the machine-readable dump and the
 // advisor reading of an instrumented run.
 func TestMetricsJSONAndAdvice(t *testing.T) {
-	_, m, err := RunInstrumented(ConfigHeteroPIM, AlexNet)
-	if err != nil {
+	m := NewMetrics()
+	if _, err := RunObserved(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet}, m); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -119,7 +120,7 @@ func TestRunObserved(t *testing.T) {
 	if m.CounterValue("sim.events") != 0 {
 		t.Fatal("fresh Metrics must start empty")
 	}
-	res, err := RunObserved(ConfigHeteroPIM, AlexNet, 1, m)
+	res, err := RunObserved(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,35 @@ func TestRunObserved(t *testing.T) {
 	}
 	if m.CounterValue("sim.events") == 0 {
 		t.Fatal("RunObserved recorded no engine events")
+	}
+}
+
+// TestRunObservedMatchesBatchRun pins that instrumenting a cell runs
+// that cell: for a multi-stack, a batch-size and a variant cell (the
+// axes an instrumented run once dropped), the observed result equals
+// BatchRun's bit for bit and the collector saw the run.
+func TestRunObservedMatchesBatchRun(t *testing.T) {
+	cells := []BatchCell{
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceTree},
+		{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 64, FreqScale: 2},
+		{Model: AlexNet, BatchSize: 64, Variant: &Variant{OperationPipeline: true}},
+	}
+	want, err := BatchRun(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		m := NewMetrics()
+		got, err := RunObserved(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Errorf("cell %d: observed result differs from BatchRun:\n got %+v\nwant %+v", i, got, want[i])
+		}
+		if m.CounterValue("sim.events") == 0 {
+			t.Errorf("cell %d: RunObserved recorded no engine events", i)
+		}
 	}
 }
 

@@ -27,8 +27,9 @@ func runAtParallelism(t *testing.T, run func() (*Table, error), workers int) *Ta
 
 // TestParallelMatchesSequential asserts sequential and parallel runs of
 // representative figures (the 5x5 matrix and the RC/OP variant study,
-// which between them exercise runGrid, runJobs and the variant matrix)
-// produce deeply equal tables.
+// which run their cells through BatchRun, and the Neurocube comparison,
+// which mixes a non-cell run in through runJobs) produce deeply equal
+// tables.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,6 +37,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}{
 		{"Fig8ExecTime", Fig8ExecTime},
 		{"Fig13SoftwareImpact", Fig13SoftwareImpact},
+		{"Fig10Neurocube", Fig10Neurocube},
 	}
 	for _, c := range cases {
 		c := c

@@ -94,12 +94,8 @@ func TestScenarioPlanRunsBitIdentical(t *testing.T) {
 	if want[2], err = RunScaled(ConfigHeteroPIM, AlexNet, 2); err != nil {
 		t.Fatal(err)
 	}
-	if want[3], err = RunWithOptions(ConfigHeteroPIM, AlexNet, Options{Stacks: 2, AllReduce: AllReduceTree}); err != nil {
-		t.Fatal(err)
-	}
-	if want[4], err = RunVariant(AlexNet, Variant{RecursiveKernels: true, OperationPipeline: true}); err != nil {
-		t.Fatal(err)
-	}
+	want[3] = runCell(t, BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceTree})
+	want[4] = runCell(t, BatchCell{Model: AlexNet, Variant: &Variant{RecursiveKernels: true, OperationPipeline: true}})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("cell %d: scenario result differs from the direct run", i)
